@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
             formula = formats.parse_dimacs(_read(args.cnf), nae=True)
             report = verify.roundtrip_nae(formula, args.palette, args.k)
         elif args.roundtrip_kind == "h9":
-            report = _h9_batch(args.trials, args.seed)
+            report = verify.roundtrip_h9_batch(args.trials, args.seed)
         else:
             raise InputError("roundtrip kind must be nae3sat or h9")
     elif what == "cross-check":
@@ -170,24 +170,6 @@ def _cmd_verify(args) -> int:
     else:  # pragma: no cover
         raise InputError(f"unknown verification {what!r}")
     return _report_exit(report, args.json)
-
-
-def _h9_batch(trials: int, seed: int):
-    from .verify import CheckResult, Report
-    from .testing import random_h9_instance
-    import random as _random
-    rng = _random.Random(seed)
-    failures = []
-    for t in range(trials):
-        source, lists = random_h9_instance(rng)
-        rep = verify.roundtrip_h9(source, lists)
-        if not rep.passed:
-            failures.append(t)
-    return Report(
-        "pendant-target round-trip batch",
-        (CheckResult(f"{trials} seeded instances", not failures,
-                     f"failing trials: {failures}" if failures else ""),),
-        seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,19 +241,18 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "gadget" and args.k is None:
-            args.k = 27 if args.palette == "two" else 24
         if args.command == "verify" and args.what == "zigzag" \
                 and args.k is None:
             args.k = 4
-        if args.command == "verify" and args.what == "roundtrip" \
-                and args.k is None and args.roundtrip_kind == "nae3sat":
-            args.k = 27 if args.palette == "two" else 24
         return args.fn(args)
-    except (InputError, PreconditionError, NotImplementedError) as e:
+    except (InputError, PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def entry():  # console-script hook
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -91,31 +91,32 @@ def iso_check(g1: TropicalGraph, g2: TropicalGraph) -> bool:
     assigned: dict = {}
     used = set()
 
-    def extend(k: int) -> bool:
-        if k == g1.n:
-            return True
-        v = order[k]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u in g1.adjacency[v]:
-                if u in assigned and not g2.has_edge(assigned[u], w):
-                    ok = False
-                    break
-            if ok:
-                for u in assigned:
-                    # non-edges must stay non-edges for a bijection to invert
-                    if not g1.has_edge(v, u) and g2.has_edge(w, assigned[u]):
-                        ok = False
-                        break
-            if ok:
-                assigned[v] = w
-                used.add(w)
-                if extend(k + 1):
-                    return True
-                del assigned[v]
-                used.discard(w)
-        return False
+    def fits(v: int, w: int) -> bool:
+        for u in g1.adjacency[v]:
+            if u in assigned and not g2.has_edge(assigned[u], w):
+                return False
+        for u in assigned:
+            # non-edges must stay non-edges for a bijection to invert
+            if not g1.has_edge(v, u) and g2.has_edge(w, assigned[u]):
+                return False
+        return True
 
-    return extend(0)
+    # One iterator over the remaining candidates per placed vertex; the
+    # explicit stack keeps long graphs off the recursion limit.
+    stack = [iter(candidates[order[0]])] if order else []
+    while stack:
+        v = order[len(stack) - 1]
+        if v in assigned:  # back from a dead end below v: free its image
+            used.discard(assigned.pop(v))
+        for w in stack[-1]:
+            if w not in used and fits(v, w):
+                break
+        else:
+            stack.pop()
+            continue
+        assigned[v] = w
+        used.add(w)
+        if len(stack) == g1.n:
+            return True
+        stack.append(iter(candidates[order[len(stack)]]))
+    return g1.n == 0

@@ -18,7 +18,8 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .graphs import (Colour, Digraph, InputError, TropicalGraph,
-                     bipartition, connected_components, tgraph)
+                     bipartition, check_embedding, connected_components,
+                     tgraph)
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,12 @@ def _min_half_order(palette: str) -> int:
 _EXTRA_ORDER = (2, 4, 5, 0, 3, 1)
 
 
-def _arc_extras(palette: str, k: int) -> list:
+def _arc_extras(palette: str, k: Optional[int]) -> list:
+    """Extra vertices per cycle arc for half-order k; None means the
+    smallest half-order the palette allows."""
     k0 = _min_half_order(palette)
+    if k is None:
+        k = k0
     if k < k0:
         raise InputError(f"cycle half-order must be at least {k0}")
     units = k - k0
@@ -232,9 +237,10 @@ def _arc_extras(palette: str, k: int) -> list:
 _CYCLE_NAMES = ("g0", "b0", "g1", "b1", "g2", "b2")
 
 
-def build_c48(palette: str = "four", k: int = 24) -> GadgetGraph:
+def build_c48(palette: str = "four", k: Optional[int] = None) -> GadgetGraph:
     """The 2k-cycle target: six corner vertices g0 b0 g1 b1 g2 b2 joined by
-    oriented P-pieces, every corner arc pointing forward around the cycle."""
+    oriented P-pieces, every corner arc pointing forward around the cycle.
+    k defaults to the smallest half-order the palette allows."""
     extras = _arc_extras(palette, k)
     b = _Builder()
     corner_colour = {"g": "G", "b": "B"} if palette != "two" else \
@@ -248,7 +254,8 @@ def build_c48(palette: str = "four", k: int = 24) -> GadgetGraph:
                           "B" if i % 2 == 0 else "G", palette, extras[i])
         b.weave(seq, start=u, end=v)
     out = b.build()
-    assert out.graph.n == 2 * k, (out.graph.n, k)
+    # extras add 2 vertices per unit of half-order above the minimum
+    assert out.graph.n == 2 * _min_half_order(palette) + sum(extras)
     return out
 
 
@@ -257,7 +264,8 @@ def _pair_label(i: int, j: int) -> str:
     return f"x{a}x{b}"
 
 
-def build_pair_gadget(i: int, j: int, palette: str = "four", k: int = 24,
+def build_pair_gadget(i: int, j: int, palette: str = "four",
+                      k: Optional[int] = None,
                       builder: Optional[_Builder] = None,
                       shared: Optional[int] = None) -> GadgetGraph:
     """The per-pair six-cycle: U_G -P> b0 -P> g1 -Q- b1 -P> g2 -Q- b2 -Q- U_G.
@@ -322,7 +330,7 @@ def _connector_tree(b: _Builder, beta1: int, beta2: int, beta3: int,
 
 
 def build_triple_gadget(p: int, q: int, r: int, palette: str = "four",
-                        k: int = 24) -> GadgetGraph:
+                        k: Optional[int] = None) -> GadgetGraph:
     """Three pair gadgets on {p,q,r} plus the three connector trees that
     force an odd number of them to fold."""
     b = _Builder()
@@ -334,7 +342,8 @@ def build_triple_gadget(p: int, q: int, r: int, palette: str = "four",
     return b.build()
 
 
-def _wire_triple(b: _Builder, p: int, q: int, r: int, palette: str, k: int):
+def _wire_triple(b: _Builder, p: int, q: int, r: int, palette: str,
+                 k: Optional[int]):
     emax = max(_arc_extras(palette, k))
     pq, pr, qr = _pair_label(p, q), _pair_label(p, r), _pair_label(q, r)
     trees = (
@@ -348,7 +357,7 @@ def _wire_triple(b: _Builder, p: int, q: int, r: int, palette: str, k: int):
 
 
 def nae3sat_to_c48(f: NaeFormula, palette: str = "four",
-                   k: int = 24) -> GadgetGraph:
+                   k: Optional[int] = None) -> GadgetGraph:
     """Instance graph for the not-all-equal reduction against build_c48.
 
     One shared U_G; a pair gadget per unordered variable pair; three
@@ -586,16 +595,7 @@ def transform_retraction_instance(g: TropicalGraph, h: TropicalGraph,
     """
     if bipartition(g) is None or len(connected_components(g)) != 1:
         raise InputError("g must be connected and bipartite")
-    copy = {}
-    for t in range(h.n):
-        if t not in embedding:
-            raise InputError(f"embedding undefined on vertex {t}")
-        if embedding[t] in copy.values():
-            raise InputError("embedding is not injective")
-        copy[t] = embedding[t]
-    for a, bb in h.edges:
-        if not g.has_edge(copy[a], copy[bb]):
-            raise InputError("designated copy is missing an edge")
+    check_embedding(h, g, embedding)
 
     hbip = bipartition(h)
     if hbip is None:
@@ -607,15 +607,15 @@ def transform_retraction_instance(g: TropicalGraph, h: TropicalGraph,
     gbip = bipartition(g)
     # A' is the g-side holding the embedded copy of side A.
     if side_a:
-        probe = copy[side_a[0]]
+        probe = embedding[side_a[0]]
         part_a = gbip.part_a if probe in gbip.part_a else gbip.part_b
     else:
         part_a = gbip.part_a
     for a in side_a:
-        if copy[a] not in part_a:
+        if embedding[a] not in part_a:
             raise InputError("embedding does not respect the bipartition")
     for bb in side_b:
-        if copy[bb] in part_a:
+        if embedding[bb] in part_a:
             raise InputError("embedding does not respect the bipartition")
 
     b = _Builder()
@@ -625,11 +625,11 @@ def transform_retraction_instance(g: TropicalGraph, h: TropicalGraph,
         b.edge(u, v)
     for i, a in enumerate(side_a, start=1):
         colours = _runs_colours(l, "W", i)
-        _attach_path(b, colours, copy[a], len(colours) - 1)
+        _attach_path(b, colours, embedding[a], len(colours) - 1)
     for j, bb in enumerate(side_b, start=1):
         colours = _runs_colours(k, "B", j)
-        _attach_path(b, colours, copy[bb], 0)
-    embedded_a = {copy[a] for a in side_a}
+        _attach_path(b, colours, embedding[bb], 0)
+    embedded_a = {embedding[a] for a in side_a}
     for v in sorted(part_a - embedded_a):
         colours = _runs_colours(l, "W", None)
         _attach_path(b, colours, v, len(colours) - 1)

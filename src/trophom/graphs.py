@@ -215,6 +215,31 @@ def validate_hom(source: TropicalGraph, target: TropicalGraph,
     return True
 
 
+def check_embedding(pattern: TropicalGraph, host: TropicalGraph,
+                    embedding: Mapping) -> dict:
+    """Check that embedding places pattern inside host: defined on every
+    pattern vertex, in host range, injective and edge-preserving.
+
+    Returns the inverse map host vertex -> pattern vertex; raises
+    InputError naming the first fault.  Colours are not checked.
+    """
+    inverse = {}
+    for t in range(pattern.n):
+        if t not in embedding:
+            raise InputError(f"embedding undefined on target vertex {t}")
+        h = embedding[t]
+        if not 0 <= h < host.n:
+            raise InputError(f"embedded image {h} out of host range "
+                             f"0..{host.n - 1}")
+        if h in inverse:
+            raise InputError("embedding is not injective")
+        inverse[h] = t
+    for a, b in pattern.edges:
+        if not host.has_edge(embedding[a], embedding[b]):
+            raise InputError(f"embedding drops target edge {(a, b)}")
+    return inverse
+
+
 def connected_components(g: TropicalGraph) -> list:
     """Maximal connected induced subgraphs, each with its new->old index map.
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .graphs import Digraph, InputError, TropicalGraph
+from .graphs import Digraph, InputError, TropicalGraph, check_embedding
 
 
 @dataclass(frozen=True)
@@ -283,21 +283,10 @@ def solve_retraction(host: TropicalGraph, target: TropicalGraph,
     an injective colour-preserving homomorphism; the retraction fixes the
     copy pointwise (singleton lists there, colour lists elsewhere).
     """
-    seen = {}
-    for t in range(target.n):
-        if t not in embedding:
-            raise InputError(f"embedding undefined on target vertex {t}")
-        h = embedding[t]
-        if not 0 <= h < host.n:
-            raise InputError(f"embedded image {h} out of host range")
-        if h in seen:
-            raise InputError("embedding is not injective")
-        seen[h] = t
+    seen = check_embedding(target, host, embedding)
+    for h, t in seen.items():
         if host.colours[h] != target.colours[t]:
             raise InputError(f"embedding breaks colour at target vertex {t}")
-    for a, b in target.edges:
-        if not host.has_edge(embedding[a], embedding[b]):
-            raise InputError(f"embedding drops target edge {(a, b)}")
 
     lists = dict(colour_lists(host, target))
     for h, t in seen.items():

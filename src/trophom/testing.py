@@ -1,60 +1,14 @@
-"""Seeded instance generators and naive reference oracles.
+"""Seeded instance generators for the test suite and the batch verifiers.
 
-The naive oracles enumerate candidate maps directly (itertools.product or
-plain recursion) and share no code with the solver; the test suite and the
-batch verifiers lean on them as ground truth.
+The brute-force oracles that judge these instances live in trophom.verify.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import TropicalGraph, tgraph
-
-
-def naive_list_count(source: TropicalGraph, target: TropicalGraph,
-                     lists: Mapping) -> int:
-    """Number of list homomorphisms by full |V(H)|^|V(G)| enumeration."""
-    if source.n == 0:
-        return 1
-    domains = [sorted(lists[v]) for v in range(source.n)]
-    edges = sorted(source.edges)
-    count = 0
-    for image in product(*domains):
-        if all(target.has_edge(image[u], image[v]) for u, v in edges):
-            count += 1
-    return count
-
-
-def naive_list_status(source: TropicalGraph, target: TropicalGraph,
-                      lists: Mapping) -> bool:
-    if source.n == 0:
-        return True
-    domains = [sorted(lists[v]) for v in range(source.n)]
-    edges = sorted(source.edges)
-    for image in product(*domains):
-        if all(target.has_edge(image[u], image[v]) for u, v in edges):
-            return True
-    return False
-
-
-def naive_trop_status(source: TropicalGraph, target: TropicalGraph) -> bool:
-    classes = target.colour_classes()
-    lists = {v: classes.get(source.colours[v], ())
-             for v in range(source.n)}
-    return naive_list_status(source, target, lists)
-
-
-def naive_digraph_status(d1, d2) -> bool:
-    if d1.n == 0:
-        return True
-    arcs = sorted(d1.arcs)
-    for image in product(range(d2.n), repeat=d1.n):
-        if all((image[u], image[v]) in d2.arcs for u, v in arcs):
-            return True
-    return False
 
 
 def random_tropical(rng: random.Random, max_n: int,

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import product
+from typing import Iterator, Mapping, Optional
 
 from . import gadgets
 from .gadgets import CnfFormula, GadgetGraph, NaeFormula
 from .graphs import InputError, TropicalGraph, plain, tgraph
 from .poly import dispatch_solve
 from .solver import colour_lists, enumerate_homs, solve_trop_hom
+from .testing import random_h9_instance
 
 
 BRUTE_VAR_LIMIT = 24
@@ -89,31 +91,48 @@ def sat_brute(f: CnfFormula) -> bool:
     return False
 
 
+def list_homs(source: TropicalGraph, target: TropicalGraph,
+              lists: Mapping) -> Iterator[dict]:
+    """Every list homomorphism, in lexicographic order of (h(0), h(1), ...).
+
+    Direct iterative enumeration: vertices are placed in index order, each
+    candidate checked only against earlier-placed neighbours.  No
+    propagation and no shared code with the solver; the explicit stack of
+    list iterators keeps long sources off the recursion limit.
+    """
+    n = source.n
+    choice = [sorted(lists[v]) for v in range(n)]
+    if any(c and not (0 <= c[0] and c[-1] < target.n) for c in choice):
+        raise InputError("a list mentions a vertex outside the target")
+    if n == 0:
+        yield {}
+        return
+    adj = target.adjacency
+    earlier = [[w for w in source.adjacency[v] if w < v] for v in range(n)]
+    image = [0] * n
+    stack = [iter(choice[0])]
+    while stack:
+        v = len(stack) - 1
+        for t in stack[-1]:
+            nbrs = adj[t]
+            for w in earlier[v]:
+                if image[w] not in nbrs:
+                    break
+            else:
+                break  # t fits every placed neighbour
+        else:
+            stack.pop()  # list of v exhausted: backtrack
+            continue
+        image[v] = t
+        if v + 1 == n:
+            yield dict(enumerate(image))
+        else:
+            stack.append(iter(choice[v + 1]))
+
+
 def list_hom_brute(source: TropicalGraph, target: TropicalGraph,
                    lists: Mapping) -> bool:
-    """Independent recursive enumeration, pruning only on earlier-placed
-    neighbours; no propagation, no shared code with the solver."""
-    order = list(range(source.n))
-    choice = [sorted(lists[v]) for v in order]
-
-    def place(k: int, image: dict) -> bool:
-        if k == source.n:
-            return True
-        v = order[k]
-        for t in choice[k]:
-            ok = True
-            for w in source.adjacency[v]:
-                if w in image and not target.has_edge(image[w], t):
-                    ok = False
-                    break
-            if ok:
-                image[v] = t
-                if place(k + 1, image):
-                    return True
-                del image[v]
-        return False
-
-    return place(0, {})
+    return next(list_homs(source, target, lists), None) is not None
 
 
 def trop_hom_brute(source: TropicalGraph, target: TropicalGraph) -> bool:
@@ -121,6 +140,16 @@ def trop_hom_brute(source: TropicalGraph, target: TropicalGraph) -> bool:
     lists = {v: classes.get(source.colours[v], ())
              for v in range(source.n)}
     return list_hom_brute(source, target, lists)
+
+
+def naive_digraph_status(d1, d2) -> bool:
+    if d1.n == 0:
+        return True
+    arcs = sorted(d1.arcs)
+    for image in product(range(d2.n), repeat=d1.n):
+        if all((image[u], image[v]) in d2.arcs for u, v in arcs):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +167,8 @@ def _pair_named_images(pair: GadgetGraph, mapping: Mapping) -> tuple:
 def verify_c48_claim(palette: str = "four") -> Report:
     """Pinned enumeration on the pair gadget: exactly two homomorphisms,
     matching the around-the-cycle and the folded named-vertex patterns."""
-    k = 27 if palette == "two" else 24
-    target = gadgets.build_c48(palette, k)
-    pair = gadgets.build_pair_gadget(0, 1, palette, k)
+    target = gadgets.build_c48(palette)
+    pair = gadgets.build_pair_gadget(0, 1, palette)
     lists = dict(colour_lists(pair.graph, target.graph))
     lists[pair["U_G"]] = frozenset([target["g0"]])
     found = enumerate_homs(pair.graph, target.graph, lists, limit=8)
@@ -294,8 +322,6 @@ def roundtrip_nae(f: NaeFormula, palette: str = "four",
     The landing vertex of U_G may be pinned to g0: the target has a
     colour-preserving rotation carrying any Green corner to g0.
     """
-    if k is None:
-        k = 27 if palette == "two" else 24
     want = nae_brute(f)
     target = gadgets.build_c48(palette, k)
     inst = gadgets.nae3sat_to_c48(f, palette, k)
@@ -325,13 +351,10 @@ def roundtrip_h9(source: TropicalGraph, lists: Mapping) -> Report:
 
 
 def roundtrip(kind: str, **payload) -> Report:
-    if kind in ("nae3sat", "nae3sat-c48", "nae3satC48"):
+    if kind == "nae3sat":
         return roundtrip_nae(**payload)
     if kind == "h9":
         return roundtrip_h9(**payload)
-    if kind in ("3sat", "threeSat"):
-        raise NotImplementedError(
-            "the 3-SAT round-trip is reserved; its target tree is not built")
     raise InputError(f"unknown round-trip kind {kind!r}")
 
 
@@ -364,6 +387,18 @@ def random_source(rng: random.Random, target: TropicalGraph,
              if rng.random() < min(0.5, 2.5 / n)]
     colours = [rng.choice(palette) for _ in range(n)]
     return tgraph(n, edges, colours)
+
+
+def roundtrip_h9_batch(trials: int, seed: int) -> Report:
+    """Pendant-target round-trips on seeded random list instances."""
+    rng = random.Random(seed)
+    failures = [t for t in range(trials)
+                if not roundtrip_h9(*random_h9_instance(rng)).passed]
+    return Report(
+        "pendant-target round-trip batch",
+        (CheckResult(f"{trials} seeded instances", not failures,
+                     f"failing trials: {failures}" if failures else ""),),
+        seed=seed)
 
 
 def cross_check_poly(target: TropicalGraph, trials: int = 200,

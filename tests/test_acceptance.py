@@ -12,11 +12,10 @@ from trophom import (core, cycle_graph, dispatch_solve, dgraph,
 from trophom.gadgets import nae_formula, tropicalize_digraph
 from trophom.poly import (ROUTE_FALLBACK, ROUTE_FORCING, ROUTE_TWOSAT,
                           ROUTE_FEATURE)
-from trophom.testing import (naive_list_status, naive_trop_status,
-                             random_tropical)
-from trophom.verify import (roundtrip_h9, roundtrip_nae,
-                            verify_c48_claim, verify_pq_lemma,
-                            verify_zigzag_properties)
+from trophom.testing import random_tropical
+from trophom.verify import (list_hom_brute, roundtrip_h9, roundtrip_nae,
+                            trop_hom_brute, verify_c48_claim,
+                            verify_pq_lemma, verify_zigzag_properties)
 
 
 def _stamp(name, t0, budget):
@@ -144,7 +143,7 @@ def test_criterion_07_dispatch_matches_oracle_across_suites():
                 sorted(set(target.colours), key=repr)
             source = random_tropical(rng, 10, palette, edge_prob=0.3)
             got, report = dispatch_solve(source, target)
-            want = naive_trop_status(source, target)
+            want = trop_hom_brute(source, target)
             assert got.solvable == want, (source, target, report)
             if got.solvable:
                 assert validate_hom(source, target, got.witness)
@@ -271,8 +270,8 @@ def test_criterion_11_solver_completeness():
                               if rng.random() < 0.75)
                  for v in range(src.n)}
         got = solve_list_hom(src, tgt, lists).solvable
-        assert got == naive_list_status(src, tgt, lists)
+        assert got == list_hom_brute(src, tgt, lists)
         trop = solve_trop_hom(src, tgt).solvable
-        assert trop == naive_trop_status(src, tgt)
+        assert trop == trop_hom_brute(src, tgt)
     _stamp("criterion 11: solver equals naive enumeration on 400 pairs",
            t0, 300)

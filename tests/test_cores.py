@@ -1,23 +1,19 @@
 import random
-from itertools import product
 
 from trophom import (core, cycle_graph, find_proper_retract, is_core,
                      iso_check, path_graph, plain, solve_trop_hom, tgraph,
                      validate_hom)
 from trophom.gadgets import build_c48, build_h9
 from trophom.testing import random_tropical
+from trophom.verify import list_homs, trop_hom_brute
 
 
 def min_endomorphism_image(g):
     """Oracle: smallest image size over all colour-preserving endomorphisms,
-    by direct enumeration over colour-respecting candidate tuples."""
+    by direct enumeration over colour-respecting candidates."""
     classes = g.colour_classes()
-    domains = [classes[g.colours[v]] for v in range(g.n)]
-    best = g.n
-    for image in product(*domains):
-        if all(g.has_edge(image[u], image[v]) for u, v in g.edges):
-            best = min(best, len(set(image)))
-    return best
+    lists = {v: classes[g.colours[v]] for v in range(g.n)}
+    return min(len(set(h.values())) for h in list_homs(g, g, lists))
 
 
 class TestFindProperRetract:
@@ -121,6 +117,11 @@ class TestIsoCheck:
     def test_relabelled_edge(self):
         assert iso_check(tgraph(2, [(0, 1)], ["Black", "White"]),
                          tgraph(2, [(0, 1)], ["White", "Black"]))
+
+    def test_long_path_needs_no_recursion(self):
+        p = path_graph(["a"] * 1200)
+        assert iso_check(p, p)
+        assert trop_hom_brute(p, plain(2, [(0, 1)], colour="a"))
 
     def test_same_colours_different_shape(self):
         p3 = path_graph(["a", "a", "a"])

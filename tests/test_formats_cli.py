@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trophom
 from trophom import InputError, cycle_graph, plain, tgraph
 from trophom.cli import main
 from trophom.formats import (parse_digraph, parse_dimacs, parse_gadget,
@@ -220,3 +226,16 @@ class TestCli:
         bad = tmp_path / "bad.tg"
         bad.write_text("tg 1 0\n")  # uncoloured vertex
         assert main(["features", "--target", str(bad)]) == 2
+
+    def test_python_m_entry_point(self, tmp_path):
+        src = str(Path(trophom.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        missing = str(tmp_path / "missing.tg")
+        run = subprocess.run(
+            [sys.executable, "-m", "trophom", "solve", "--source", missing,
+             "--target", missing],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=60)
+        assert run.returncode == 2
+        assert "cannot read" in run.stderr

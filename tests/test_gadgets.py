@@ -14,7 +14,7 @@ from trophom.gadgets import (build_c48, build_h9,
                              c6_listhom_to_h9, nae_formula, nae3sat_to_c48,
                              transform_retraction_instance,
                              tropicalize_digraph, zigzag_p, zigzag_q)
-from trophom.testing import naive_digraph_status
+from trophom.verify import naive_digraph_status
 
 
 def all_digraphs(max_n):
@@ -139,6 +139,9 @@ class TestC48:
             build_c48("four", 23)
         with pytest.raises(InputError):
             build_c48("two", 26)
+
+    def test_default_half_order_follows_palette(self):
+        assert build_c48("two").graph.n == 54
 
     def test_two_colour_palette_structure(self):
         g = build_c48("two", 27).graph
@@ -389,6 +392,11 @@ class TestZigzagGadget:
         want = solve_retraction(g, h, {0: 0, 1: 1, 2: 2}).solvable
         got = solve_trop_hom(inst.graph, target.graph).solvable
         assert got == want
+
+    def test_out_of_range_embedding_names_the_range(self):
+        h = plain(3, [(0, 1), (1, 2)])
+        with pytest.raises(InputError, match="range 0..2"):
+            transform_retraction_instance(h, h, {0: 0, 1: 1, 2: 7})
 
     def test_retraction_equivalence_exhaustive_small(self):
         h = plain(3, [(0, 1), (1, 2)])

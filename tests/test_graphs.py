@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from trophom import (InputError, PreconditionError, bipartition,
                      connected_components, cycle_graph, path_graph, plain,
                      split_colours, split_instance, tgraph, validate_hom)
-from trophom.testing import naive_trop_status, random_bipartite
+from trophom.testing import random_bipartite
+from trophom.verify import trop_hom_brute
 
 
 def has_odd_closed_walk(g):
@@ -169,8 +170,8 @@ class TestSplitInstance:
                     or len(connected_components(tgt)) != 1:
                 continue
             done += 1
-            want = naive_trop_status(src, tgt)
+            want = trop_hom_brute(src, tgt)
             split_tgt = split_colours(tgt)
-            got = any(naive_trop_status(v, split_tgt)
+            got = any(trop_hom_brute(v, split_tgt)
                       for v in split_instance(src))
             assert got == want

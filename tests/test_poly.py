@@ -10,8 +10,8 @@ from trophom import (FeatureSet, PreconditionError, cycle_graph,
                      solve_via_pairs, tgraph, two_sat, validate_hom)
 from trophom.gadgets import build_c48, build_h9
 from trophom.poly import ROUTE_FALLBACK
-from trophom.testing import (naive_trop_status, random_bipartite,
-                             random_tropical)
+from trophom.testing import random_bipartite, random_tropical
+from trophom.verify import trop_hom_brute
 
 
 def brute_2sat(f):
@@ -95,7 +95,7 @@ class TestSolveAllForcing:
     def test_repeated_colour_folds_to_one_neighbour(self):
         target = path_graph(["R", "B", "G"])
         src = path_graph(["G", "B", "G"])
-        assert naive_trop_status(src, target)  # oracle
+        assert trop_hom_brute(src, target)  # oracle
         out = solve_all_forcing(src, target)
         assert out.solvable and validate_hom(src, target, out.witness)
 
@@ -103,16 +103,16 @@ class TestSolveAllForcing:
         # both R ends land on the target's R vertex
         target = path_graph(["R", "B", "G"])
         src = path_graph(["R", "B", "R"])
-        assert naive_trop_status(src, target)  # oracle
+        assert trop_hom_brute(src, target)  # oracle
         assert solve_all_forcing(src, target).solvable
 
     def test_unsolvable_fixtures(self):
         target = path_graph(["R", "B", "G"])
         bb = path_graph(["R", "B", "B"])
-        assert not naive_trop_status(bb, target)  # oracle: no B-B edge
+        assert not trop_hom_brute(bb, target)  # oracle: no B-B edge
         assert not solve_all_forcing(bb, target).solvable
         triangle = tgraph(3, [(0, 1), (1, 2), (0, 2)], ["R", "B", "G"])
-        assert not naive_trop_status(triangle, target)  # oracle: odd cycle
+        assert not trop_hom_brute(triangle, target)  # oracle: odd cycle
         assert not solve_all_forcing(triangle, target).solvable
 
     def test_precondition(self):
@@ -128,7 +128,7 @@ class TestSolveAllForcing:
             src = random_tropical(rng, 12, list(set(target.colours)) + ["zz"],
                                   edge_prob=0.3)
             out = solve_all_forcing(src, target)
-            assert out.solvable == naive_trop_status(src, target)
+            assert out.solvable == trop_hom_brute(src, target)
             if out.solvable:
                 assert validate_hom(src, target, out.witness)
 
@@ -200,7 +200,7 @@ class TestSolveViaPairs:
             src = random_bipartite(
                 rng, 8, ["a1", "a2", "a3", "a4"], ["b1", "b2", "b3", "b4"])
             out = solve_by_colour_pairs(src, target)
-            assert out.solvable == naive_trop_status(src, target)
+            assert out.solvable == trop_hom_brute(src, target)
             if out.solvable:
                 assert validate_hom(src, target, out.witness)
 
@@ -297,7 +297,7 @@ class TestReduceByFeatures:
         palette = ["Black", "Red", "Green", "Yellow"]
         for _ in range(200):
             src = random_tropical(rng, 8, palette, edge_prob=0.35)
-            want = naive_trop_status(src, h9)
+            want = trop_hom_brute(src, h9)
             red = reduce_by_features(src, h9, s)
             if red is None:
                 assert not want
@@ -316,7 +316,7 @@ class TestReduceByFeatures:
                 continue
             checked += 1
             src = random_tropical(rng, 8, ["a", "b", "c"], edge_prob=0.35)
-            want = naive_trop_status(src, tgt)
+            want = trop_hom_brute(src, tgt)
             red = reduce_by_features(src, tgt, fs)
             if red is None:
                 assert not want
@@ -333,7 +333,7 @@ class TestDispatch:
             src = random_tropical(rng, 8, ["a", "b", "c"], edge_prob=0.3)
             tgt = random_tropical(rng, 7, ["a", "b", "c"], edge_prob=0.35)
             out, report = dispatch_solve(src, tgt)
-            assert out.solvable == naive_trop_status(src, tgt), report
+            assert out.solvable == trop_hom_brute(src, tgt), report
             if out.solvable:
                 assert validate_hom(src, tgt, out.witness)
             assert report.route
@@ -361,5 +361,5 @@ class TestDispatch:
         src = path_graph(["X", "Y", "Z"])
         out, _ = dispatch_solve(src, target)
         assert out.solvable
-        assert naive_trop_status(src, target)
+        assert trop_hom_brute(src, target)
         assert validate_hom(src, target, out.witness)

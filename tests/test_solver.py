@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice
 
 import pytest
 
@@ -7,9 +7,9 @@ from trophom import (InputError, ac_reduce, colour_lists, cycle_graph,
                      dgraph, enumerate_homs, plain, solve_digraph_hom,
                      solve_list_hom, solve_retraction, solve_trop_hom,
                      tgraph, validate_hom)
-from trophom.testing import (naive_digraph_status, naive_list_count,
-                             naive_list_status, naive_trop_status,
-                             random_tree, random_tropical)
+from trophom.testing import random_tree, random_tropical
+from trophom.verify import (list_hom_brute, list_homs,
+                            naive_digraph_status, trop_hom_brute)
 
 
 def full_lists(source, target):
@@ -46,14 +46,19 @@ class TestSolveListHom:
 
     def test_matches_naive_enumeration_on_seeded_suite(self):
         rng = random.Random(20250808)
-        for _ in range(150):
+        for i in range(150):
             src = random_tropical(rng, 6, ["a", "b"])
             tgt = random_tropical(rng, 5, ["a", "b"])
             lists = {v: frozenset(t for t in range(tgt.n)
                                   if rng.random() < 0.7)
                      for v in range(src.n)}
             out = solve_list_hom(src, tgt, lists)
-            assert out.solvable == naive_list_status(src, tgt, lists)
+            limit = 1 + i % 6
+            want = list(islice(list_homs(src, tgt, lists), limit + 1))
+            assert out.solvable == bool(want)
+            found = enumerate_homs(src, tgt, lists, limit=limit)
+            assert list(found.maps) == want[:limit]
+            assert found.truncated == (len(want) > limit)
             if out.solvable:
                 assert all(out.witness[v] in lists[v] for v in range(src.n))
                 for u, v in src.edges:
@@ -85,7 +90,7 @@ class TestEnumerate:
         c4 = plain(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         k3 = plain(3, [(0, 1), (1, 2), (0, 2)])
         # oracle first: brute force over all 3^4 maps
-        assert naive_list_count(c4, k3, full_lists(c4, k3)) == 18
+        assert sum(1 for _ in list_homs(c4, k3, full_lists(c4, k3))) == 18
         found = enumerate_homs(c4, k3)
         assert len(found.maps) == 18 and not found.truncated
 
@@ -97,8 +102,8 @@ class TestEnumerate:
             found = enumerate_homs(src, tgt)
             tuples = [tuple(m[v] for v in range(src.n)) for m in found.maps]
             assert tuples == sorted(set(tuples))
-            assert len(found.maps) == naive_list_count(
-                src, tgt, full_lists(src, tgt))
+            assert list(found.maps) == list(
+                list_homs(src, tgt, full_lists(src, tgt)))
 
     def test_limit_and_truncation_flag(self):
         c4 = plain(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -128,7 +133,7 @@ class TestTropHom:
             src = random_tropical(rng, 6, ["a", "b", "c"])
             tgt = random_tropical(rng, 5, ["a", "b", "c"])
             assert solve_trop_hom(src, tgt).solvable == \
-                naive_trop_status(src, tgt)
+                trop_hom_brute(src, tgt)
 
 
 class TestDigraph:
@@ -171,14 +176,8 @@ class TestRetraction:
         c6 = plain(6, [(i, (i + 1) % 6) for i in range(6)])
         edge = plain(2, [(0, 1)])
         # oracle: some total map fixing {0 -> 0, 1 -> 1} folds the cycle
-        found = False
-        for image in product(range(2), repeat=6):
-            if image[0] != 0 or image[1] != 1:
-                continue
-            if all(edge.has_edge(image[u], image[v]) for u, v in c6.edges):
-                found = True
-                break
-        assert found
+        pinned = {0: {0}, 1: {1}, **{v: {0, 1} for v in range(2, 6)}}
+        assert list_hom_brute(c6, edge, pinned)
         out = solve_retraction(c6, edge, {0: 0, 1: 1})
         assert out.solvable
         assert out.witness[0] == 0 and out.witness[1] == 1

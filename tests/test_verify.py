@@ -6,9 +6,9 @@ import pytest
 from trophom import InputError, cycle_graph, path_graph, plain
 from trophom.gadgets import (build_h9, cnf_formula, nae_formula)
 from trophom.verify import (cross_check_poly, nae_brute,
-                            roundtrip, roundtrip_h9, roundtrip_nae,
-                            sat_brute, verify_c48_claim, verify_pq_lemma,
-                            verify_zigzag_properties)
+                            roundtrip, roundtrip_h9, roundtrip_h9_batch,
+                            roundtrip_nae, sat_brute, verify_c48_claim,
+                            verify_pq_lemma, verify_zigzag_properties)
 
 
 class TestNaeBrute:
@@ -110,17 +110,14 @@ class TestRoundtrips:
     def test_kind_dispatcher(self):
         f = nae_formula(3, [(0, 1, 2)])
         assert roundtrip("nae3sat", f=f).passed
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(InputError):
             roundtrip("3sat")
         with pytest.raises(InputError):
             roundtrip("bogus")
 
     def test_h9_seeded_batch(self):
-        from trophom.testing import random_h9_instance
-        rng = random.Random(99)
-        for _ in range(40):
-            source, lists = random_h9_instance(rng)
-            assert roundtrip_h9(source, lists).passed
+        report = roundtrip_h9_batch(40, 99)
+        assert report.passed and report.seed == 99
 
     def test_h9_on_an_unsolvable_instance(self):
         # adjacent vertices with same-parity lists cannot both be honoured
