@@ -153,7 +153,8 @@ def _cmd_verify(args) -> int:
     elif what == "pq-lemma":
         report = verify.verify_pq_lemma(args.palette)
     elif what == "zigzag":
-        report = verify.verify_zigzag_properties(args.l, args.k)
+        report = verify.verify_zigzag_properties(
+            args.l, 4 if args.k is None else args.k)
     elif what == "roundtrip":
         if args.roundtrip_kind == "nae3sat":
             if not args.cnf:
@@ -241,9 +242,6 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "verify" and args.what == "zigzag" \
-                and args.k is None:
-            args.k = 4
         return args.fn(args)
     except (InputError, PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,25 +9,19 @@ for targets up to a few dozen vertices, not for production-sized graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .graphs import TropicalGraph
 from .solver import colour_lists, solve_list_hom
 
 
-def find_proper_retract(g: TropicalGraph,
-                        candidate_order: Optional[Sequence[int]] = None):
+def find_proper_retract(g: TropicalGraph):
     """A colour-preserving endomorphism of g with a strictly smaller image,
     or None when g is a core.
 
     Tries each vertex-deleted induced subgraph as a landing zone, smallest
-    deleted index first (candidate_order overrides, for tests only).
+    deleted index first.
     """
-    if candidate_order is None:
-        order = range(g.n)
-    else:
-        order = [v for v in candidate_order if 0 <= v < g.n]
-    for v in order:
+    for v in range(g.n):
         keep = [u for u in range(g.n) if u != v]
         sub, old = g.induced(keep)
         out = solve_list_hom(g, sub, colour_lists(g, sub))
@@ -49,14 +43,13 @@ class CoreResult:
     hom: dict                # original vertex index -> core index
 
 
-def core(g: TropicalGraph,
-         candidate_order: Optional[Sequence[int]] = None) -> CoreResult:
+def core(g: TropicalGraph) -> CoreResult:
     """Retract repeatedly until no proper retract remains."""
     current = g
     retained = tuple(range(g.n))
     hom = {v: v for v in range(g.n)}
     while True:
-        retract = find_proper_retract(current, candidate_order)
+        retract = find_proper_retract(current)
         if retract is None:
             return CoreResult(current, retained, hom)
         image = sorted(set(retract.values()))

@@ -265,9 +265,7 @@ def _pair_label(i: int, j: int) -> str:
 
 
 def build_pair_gadget(i: int, j: int, palette: str = "four",
-                      k: Optional[int] = None,
-                      builder: Optional[_Builder] = None,
-                      shared: Optional[int] = None) -> GadgetGraph:
+                      k: Optional[int] = None) -> GadgetGraph:
     """The per-pair six-cycle: U_G -P> b0 -P> g1 -Q- b1 -P> g2 -Q- b2 -Q- U_G.
 
     Maps onto the target either around the whole cycle (sigma) or folded
@@ -275,11 +273,17 @@ def build_pair_gadget(i: int, j: int, palette: str = "four",
     pinned, which is what encodes 'same part or different parts'.
     """
     extras = _arc_extras(palette, k)
-    own = builder is None
-    b = _Builder() if own else builder
+    b = _Builder()
+    ug = b.add("G" if palette != "two" else "m", name="U_G")
+    _weave_pair(b, ug, i, j, palette, extras)
+    return b.build()
+
+
+def _weave_pair(b: _Builder, ug: int, i: int, j: int, palette: str,
+                extras: list):
+    """Add the pair gadget of {i, j} to b around the existing vertex ug."""
     gc = "G" if palette != "two" else "m"
     bc = "B" if palette != "two" else "m"
-    ug = b.add(gc, name="U_G") if shared is None else shared
     lab = _pair_label(i, j)
     b0 = b.add(bc, name=f"b0_{lab}")
     g1 = b.add(gc, name=f"g1_{lab}")
@@ -300,7 +304,6 @@ def build_pair_gadget(i: int, j: int, palette: str = "four",
             start=g2, end=b2)
     b.weave(_pq_colours("Q", "B", "G", palette, q_extras[2]),
             start=b2, end=ug)
-    return b.build() if own else None
 
 
 def _pair_q_extras(extras) -> tuple:
@@ -333,18 +336,17 @@ def build_triple_gadget(p: int, q: int, r: int, palette: str = "four",
                         k: Optional[int] = None) -> GadgetGraph:
     """Three pair gadgets on {p,q,r} plus the three connector trees that
     force an odd number of them to fold."""
+    extras = _arc_extras(palette, k)
     b = _Builder()
-    gc = "G" if palette != "two" else "m"
-    ug = b.add(gc, name="U_G")
+    ug = b.add("G" if palette != "two" else "m", name="U_G")
     for i, j in ((p, q), (p, r), (q, r)):
-        build_pair_gadget(i, j, palette, k, builder=b, shared=ug)
-    _wire_triple(b, p, q, r, palette, k)
+        _weave_pair(b, ug, i, j, palette, extras)
+    _wire_triple(b, p, q, r, palette, max(extras))
     return b.build()
 
 
 def _wire_triple(b: _Builder, p: int, q: int, r: int, palette: str,
-                 k: Optional[int]):
-    emax = max(_arc_extras(palette, k))
+                 emax: int):
     pq, pr, qr = _pair_label(p, q), _pair_label(p, r), _pair_label(q, r)
     trees = (
         (f"b1_{pq}", f"b2_{pr}", f"b2_{qr}"),
@@ -372,9 +374,9 @@ def nae3sat_to_c48(f: NaeFormula, palette: str = "four",
     bc = "B" if palette != "two" else "m"
     ug = b.add(gc, name="U_G")
     for i, j in combinations(range(f.n_vars), 2):
-        build_pair_gadget(i, j, palette, k, builder=b, shared=ug)
+        _weave_pair(b, ug, i, j, palette, extras)
     for p, q, r in combinations(range(f.n_vars), 3):
-        _wire_triple(b, p, q, r, palette, k)
+        _wire_triple(b, p, q, r, palette, emax)
     for ci, (l1, l2, l3) in enumerate(f.clauses):
         left = b.names[f"b1_{_pair_label(l1, l2)}"]
         right = b.names[f"b2_{_pair_label(l2, l3)}"]
@@ -554,8 +556,7 @@ def _attach_path(b: _Builder, colours: Sequence[Colour], anchor: int,
         raise InputError("anchor must be a path end")
 
 
-def build_zigzag_gadget(h: TropicalGraph,
-                        parts: Optional[tuple] = None) -> GadgetGraph:
+def build_zigzag_gadget(h: TropicalGraph) -> GadgetGraph:
     """Two-colour the bipartite graph h so that retraction onto it and
     tropical homomorphism to the result are interchangeable: every original
     vertex turns White, side-A vertex number i gets a P_i tail glued at its
@@ -564,9 +565,7 @@ def build_zigzag_gadget(h: TropicalGraph,
     bip = bipartition(h)
     if bip is None:
         raise InputError("h must be bipartite")
-    if parts is None:
-        parts = (tuple(sorted(bip.part_a)), tuple(sorted(bip.part_b)))
-    side_a, side_b = parts
+    side_a, side_b = sorted(bip.part_a), sorted(bip.part_b)
     l, k = zigzag_parameters(len(side_a), len(side_b))
     b = _Builder()
     for v in range(h.n):
@@ -574,11 +573,11 @@ def build_zigzag_gadget(h: TropicalGraph,
     for u, v in sorted(h.edges):
         b.edge(u, v)
     for i, a in enumerate(side_a, start=1):
-        colours = [c for c in _runs_colours(l, "W", i)]
+        colours = _runs_colours(l, "W", i)
         _attach_path(b, colours, b.names[f"h{a}"], len(colours) - 1)
         b.names[f"a{i}"] = b.names[f"h{a}"]
     for j, bb in enumerate(side_b, start=1):
-        colours = [c for c in _runs_colours(k, "B", j)]
+        colours = _runs_colours(k, "B", j)
         _attach_path(b, colours, b.names[f"h{bb}"], 0)
         b.names[f"b{j}"] = b.names[f"h{bb}"]
     return b.build()

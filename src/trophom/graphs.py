@@ -73,9 +73,6 @@ class TropicalGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
-    def colour_of(self, v: int) -> Colour:
-        return self.colours[v]
-
     def colour_classes(self) -> dict:
         """Map colour token -> sorted tuple of vertices wearing it."""
         classes = self.__dict__.get("_classes")
@@ -291,11 +288,12 @@ def bipartition(g: TropicalGraph) -> Optional[Bipartition]:
 
 
 def _require_connected_bipartite(g: TropicalGraph) -> Bipartition:
-    if g.n and len(connected_components(g)) != 1:
-        raise PreconditionError("graph must be connected")
+    # The cheaper test first: dispatch_solve meets odd cycles here often.
     bip = bipartition(g)
     if bip is None:
         raise PreconditionError("graph must be bipartite")
+    if g.n and len(connected_components(g)) != 1:
+        raise PreconditionError("graph must be connected")
     return bip
 
 

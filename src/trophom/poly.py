@@ -16,7 +16,7 @@ solver only when nothing applies; its status always equals ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cores import core
 from .graphs import (InputError, PreconditionError, TropicalGraph,
@@ -50,15 +50,15 @@ def forcing_vertices(target: TropicalGraph) -> frozenset:
     return frozenset(out)
 
 
-def _forced_neighbour_tables(target: TropicalGraph) -> list:
-    """For each target vertex, map neighbour colour -> the one neighbour."""
-    tables = []
-    for v in range(target.n):
-        table = {}
-        for w in sorted(target.adjacency[v]):
-            table[target.colours[w]] = w
-        tables.append(table)
-    return tables
+def _forcing_tables(target: TropicalGraph) -> list:
+    """For each target vertex, map neighbour colour -> the one neighbour.
+
+    PreconditionError unless every target vertex is forcing.
+    """
+    if len(forcing_vertices(target)) != target.n:
+        raise PreconditionError("target has a non-forcing vertex")
+    return [{target.colours[w]: w for w in target.adjacency[v]}
+            for v in range(target.n)]
 
 
 def solve_all_forcing(source: TropicalGraph,
@@ -69,9 +69,7 @@ def solve_all_forcing(source: TropicalGraph,
     vertex, propagate the forced images breadth-first, accept on the first
     completed trial.  Exhaustive because the propagation is deterministic.
     """
-    if len(forcing_vertices(target)) != target.n:
-        raise PreconditionError("target has a non-forcing vertex")
-    tables = _forced_neighbour_tables(target)
+    tables = _forcing_tables(target)
     classes = target.colour_classes()
 
     witness: dict = {}
@@ -425,6 +423,18 @@ class ReducedInstance:
     pinned: dict
 
 
+def _disjoint_features(fs: FeatureSet, target: TropicalGraph) -> FeatureSet:
+    """Normalize for reduction: kinds 1 < 3 < 4 claim a vertex first, and a
+    type-4 vertex adjacent to any deleted vertex is dropped."""
+    t1 = set(fs.type1)
+    t3 = set(fs.type3) - t1
+    t4 = set(fs.type4) - t1 - t3
+    deleted = t1 | t3 | t4
+    t4 = {u for u in t4
+          if not any(w in deleted for w in target.adjacency[u])}
+    return FeatureSet(frozenset(t1), fs.type2, frozenset(t3), frozenset(t4))
+
+
 def _validate_features(target: TropicalGraph, s: FeatureSet):
     for u in s.type1:
         if not _is_type1(target, u):
@@ -439,14 +449,10 @@ def _validate_features(target: TropicalGraph, s: FeatureSet):
     for u in s.type4:
         if not _is_type4(target, u):
             raise InputError(f"vertex {u} is not a type-4 feature")
-    v1, v3, v4 = set(s.type1), set(s.type3), set(s.type4)
-    if v1 & v3 or v1 & v4 or v3 & v4:
-        raise InputError("feature vertex sets must be pairwise disjoint")
-    deleted = v1 | v3 | v4
-    for u in s.type4:
-        if any(w in deleted for w in target.adjacency[u]):
-            raise InputError(
-                f"type-4 vertex {u} borders another deleted feature")
+    if _disjoint_features(s, target) != s:
+        raise InputError("feature vertex sets must be pairwise disjoint, "
+                         "and no type-4 vertex may border another deleted "
+                         "feature")
 
 
 def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
@@ -475,22 +481,25 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
         lists[w] &= allowed
         return bool(lists[w])
 
+    def pin(v: int, u: int) -> bool:
+        """Map v onto u: its neighbours must land beside u, then v goes."""
+        for w in adj[v]:
+            if not shrink(w, target.adjacency[u]):
+                return False
+        pinned[v] = u
+        drop_vertex(v)
+        return True
+
     for v in range(source.n):
         if not lists[v]:
             return None
 
     # type 1: the single vertex of its colour
     for u in sorted(s.type1):
-        nu = set(target.adjacency[u])
         su = target.colours[u]
         for v in range(source.n):
-            if not alive[v] or source.colours[v] != su:
-                continue
-            for w in sorted(adj[v]):
-                if not shrink(w, nu):
-                    return None
-            pinned[v] = u
-            drop_vertex(v)
+            if alive[v] and source.colours[v] == su and not pin(v, u):
+                return None
 
     # type 2: the single edge with its colour pair
     for a, b in sorted(s.type2):
@@ -513,7 +522,6 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
 
     # type 3: monochromatic neighbourhood, unreachable elsewhere
     for u in sorted(s.type3):
-        nu = set(target.adjacency[u])
         s_colour = target.colours[next(iter(target.adjacency[u]))]
         cu = target.colours[u]
         for v in range(source.n):
@@ -521,11 +529,8 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
                 continue
             if any(source.colours[w] != s_colour for w in adj[v]):
                 continue
-            for w in sorted(adj[v]):
-                if not shrink(w, nu):
-                    return None
-            pinned[v] = u
-            drop_vertex(v)
+            if not pin(v, u):
+                return None
 
     # type 4: forced landings, then pendant surgery on the target
     for u in sorted(s.type4):
@@ -611,6 +616,8 @@ ROUTE_TWOSAT = "TwoSat"
 ROUTE_FEATURE = "UniqueFeature"
 ROUTE_SPLIT = "SplitColours"
 ROUTE_FALLBACK = "ExactFallback"
+# Targets up to this many vertices are replaced by their core first.
+_CORE_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -621,31 +628,55 @@ class StrategyReport:
 
 @dataclass(frozen=True)
 class _TargetPlan:
-    graph: TropicalGraph          # strategy target (core, maybe split)
     steps: tuple
-    strategy: str
+    solve: Callable               # source component -> SolveOutcome
     to_original: tuple            # strategy-target index -> target index
     split: bool
-    features: Optional[FeatureSet] = None
 
 
-def _disjoint_features(fs: FeatureSet, target: TropicalGraph) -> FeatureSet:
-    """Normalize for reduction: kinds 1 < 3 < 4 claim a vertex first, and a
-    type-4 vertex adjacent to any deleted vertex is dropped."""
-    t1 = set(fs.type1)
-    t3 = set(fs.type3) - t1
-    t4 = set(fs.type4) - t1 - t3
-    deleted = t1 | t3 | t4
-    t4 = {u for u in t4
-          if not any(w in deleted for w in target.adjacency[u])}
-    return FeatureSet(frozenset(t1), fs.type2, frozenset(t3), frozenset(t4))
+def _holds(check, target: TropicalGraph) -> bool:
+    """Whether a route's precondition check passes on the target."""
+    try:
+        check(target)
+    except PreconditionError:
+        return False
+    return True
 
 
-def _plan_target(tc: TropicalGraph, core_bound: int = 20) -> _TargetPlan:
+def _solve_by_features(src: TropicalGraph, t: TropicalGraph,
+                       features: FeatureSet) -> SolveOutcome:
+    red = reduce_by_features(src, t, features)
+    if red is None:
+        return SolveOutcome(False, None)
+    out = solve_list_hom(red.source, red.target, red.lists)
+    if not out.solvable:
+        return out
+    witness = dict(red.pinned)
+    for new_v, new_t in out.witness.items():
+        witness[red.source_to_original[new_v]] = red.target_to_original[new_t]
+    return SolveOutcome(True, witness, out.nodes, out.passes)
+
+
+def _strategy(t: TropicalGraph) -> tuple:
+    """(route, solver) for the first route whose precondition holds on t:
+    all-forcing, colour classes of size <= 2, unique features, and the
+    exact solver last.  Each solver takes one source component and looks
+    the strategy up by its public name when it runs."""
+    if _holds(_forcing_tables, t):
+        return ROUTE_FORCING, lambda src: solve_all_forcing(src, t)
+    if _holds(colour_class_pairs, t):
+        return ROUTE_TWOSAT, lambda src: solve_by_colour_pairs(src, t)
+    features = _disjoint_features(detect_features(t), t)
+    if features:
+        return ROUTE_FEATURE, lambda src: _solve_by_features(src, t, features)
+    return ROUTE_FALLBACK, lambda src: solve_trop_hom(src, t)
+
+
+def _plan_target(tc: TropicalGraph) -> _TargetPlan:
     steps = []
     work = tc
     to_original = tuple(range(tc.n))
-    if 0 < tc.n <= core_bound:
+    if 0 < tc.n <= _CORE_BOUND:
         reduced = core(tc)
         if reduced.graph.n < tc.n:
             steps.append(ROUTE_CORE)
@@ -655,61 +686,25 @@ def _plan_target(tc: TropicalGraph, core_bound: int = 20) -> _TargetPlan:
     if split:
         steps.append(ROUTE_SPLIT)
         work = split_colours(work)
-
-    if len(forcing_vertices(work)) == work.n:
-        strategy = ROUTE_FORCING
-    else:
-        classes = work.colour_classes()
-        small = all(len(vs) <= 2 for vs in classes.values())
-        independent = small and all(
-            not work.has_edge(*vs) for vs in classes.values()
-            if len(vs) == 2)
-        if small and independent:
-            strategy = ROUTE_TWOSAT
-        else:
-            features = _disjoint_features(detect_features(work), work)
-            if features:
-                steps.append(ROUTE_FEATURE)
-                return _TargetPlan(work, tuple(steps), ROUTE_FEATURE,
-                                   to_original, split, features)
-            strategy = ROUTE_FALLBACK
-    steps.append(strategy)
-    return _TargetPlan(work, tuple(steps), strategy, to_original, split)
-
-
-def _run_strategy(src: TropicalGraph, plan: _TargetPlan) -> SolveOutcome:
-    t = plan.graph
-    if plan.strategy == ROUTE_FORCING:
-        return solve_all_forcing(src, t)
-    if plan.strategy == ROUTE_TWOSAT:
-        return solve_by_colour_pairs(src, t)
-    if plan.strategy == ROUTE_FEATURE:
-        red = reduce_by_features(src, t, plan.features)
-        if red is None:
-            return SolveOutcome(False, None)
-        out = solve_list_hom(red.source, red.target, red.lists)
-        if not out.solvable:
-            return out
-        witness = dict(red.pinned)
-        for new_v, new_t in out.witness.items():
-            witness[red.source_to_original[new_v]] = \
-                red.target_to_original[new_t]
-        return SolveOutcome(True, witness, out.nodes, out.passes)
-    return solve_trop_hom(src, t)
+    route, solve = _strategy(work)
+    steps.append(route)
+    return _TargetPlan(tuple(steps), solve, to_original, split)
 
 
 def _solve_component(sc: TropicalGraph, plan: _TargetPlan,
                      notes: list, label: str) -> SolveOutcome:
-    if plan.split:
-        if bipartition(sc) is None:
-            notes.append(f"{label}: odd cycle against a bipartite target")
-            return SolveOutcome(False, None)
-        for variant in split_instance(sc):
-            out = _run_strategy(variant, plan)
-            if out.solvable:
-                return out
+    if not plan.split:
+        return plan.solve(sc)
+    try:
+        variants = split_instance(sc)
+    except PreconditionError:  # sc is connected, so it is not bipartite
+        notes.append(f"{label}: odd cycle against a bipartite target")
         return SolveOutcome(False, None)
-    return _run_strategy(sc, plan)
+    for variant in variants:
+        out = plan.solve(variant)
+        if out.solvable:
+            return out
+    return SolveOutcome(False, None)
 
 
 def dispatch_solve(source: TropicalGraph,
@@ -734,32 +729,22 @@ def dispatch_solve(source: TropicalGraph,
             if step not in route:
                 route.append(step)
     if not plans:
-        plans = [(_plan_target(target), tuple())]
+        # an empty target's plan never places a vertex: () is never read
+        plans = [(_plan_target(target), ())]
         route = list(plans[0][0].steps)
     if ROUTE_FALLBACK in route:
         route = [s for s in route if s != ROUTE_FALLBACK] + [ROUTE_FALLBACK]
 
-    witness: dict = {}
-    solvable = True
+    witness: Optional[dict] = {}
     for si, (sc, smap) in enumerate(connected_components(source)):
-        label = f"source[{si}]"
-        placed = None
         for plan, tmap in plans:
-            out = _solve_component(sc, plan, notes, label)
+            out = _solve_component(sc, plan, notes, f"source[{si}]")
             if out.solvable:
-                placed = {}
-                for v, img in out.witness.items():
-                    orig_in_comp = plan.to_original[img]
-                    placed[smap[v]] = tmap[orig_in_comp] if tmap else \
-                        orig_in_comp
+                witness.update((smap[v], tmap[plan.to_original[img]])
+                               for v, img in out.witness.items())
                 break
-        if placed is None:
-            solvable = False
-            witness = {}
+        else:
+            witness = None
             break
-        witness.update(placed)
-
     report = StrategyReport(tuple(route), tuple(notes))
-    if not solvable:
-        return SolveOutcome(False, None), report
-    return SolveOutcome(True, witness), report
+    return SolveOutcome(witness is not None, witness), report

@@ -4,15 +4,20 @@ One binary-CSP engine serves every decision problem here: variables are
 source vertices, domains are candidate target vertices, and each source
 edge (or arc) contributes an adjacency constraint.  The engine runs
 queue-based arc consistency to a fixpoint before and during a backtracking
-search (minimum-remaining-values order, ties and values by lowest index),
-so answers are exhaustive and witnesses deterministic.
+search, so answers are exhaustive and witnesses deterministic.
+
+Decision and enumeration share one search generator and differ only in
+its branching rule: the first witness is taken in minimum-remaining-values
+order (ties and values by lowest index), enumeration branches on variables
+in index order so maps come out in lexicographic order of their images.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Iterator, Mapping, Optional
 
 from .graphs import Digraph, InputError, TropicalGraph, check_embedding
 
@@ -132,26 +137,30 @@ def _pick_static(doms) -> Optional[int]:
     return None
 
 
-def _search(csp: _Csp, *, all_solutions: bool, cap: Optional[int],
-            static_order: bool) -> tuple:
+class _Counts:
+    """Branching nodes and arc revisions of one _search, current at every
+    solution it yields."""
+
+    __slots__ = ("nodes", "passes")
+
+    def __init__(self):
+        self.nodes = self.passes = 0
+
+
+def _search(csp: _Csp, pick, stats: _Counts) -> Iterator[dict]:
     """Iterative depth-first search with maintained arc consistency.
 
-    Returns (solutions, saw_more, nodes, passes).  saw_more is True when the
-    search stopped at cap with unexplored branches confirmed to hold at
-    least one further solution.
+    Yields every solution once, in the order the branching rule pick
+    (a variable, or None when all domains are singletons) and ascending
+    values give; the caller stops pulling when it has what it needs.
     """
-    pick = _pick_static if static_order else _pick_mrv
-    nodes = 0
-    passes = 0
-    sols: list = []
-
     root = [set(d) for d in csp.domains]
     if any(not d for d in root):
-        return sols, False, nodes, passes
+        return
     ok, p = _ac3(csp, root)
-    passes += p
+    stats.passes += p
     if not ok:
-        return sols, False, nodes, passes
+        return
 
     # Each frame: (domains, branch variable, ordered values, next value idx).
     stack: list = []
@@ -160,9 +169,7 @@ def _search(csp: _Csp, *, all_solutions: bool, cap: Optional[int],
         var = pick(cur)
         if var is None:
             # All singletons; arc consistency makes this a solution.
-            sols.append({i: next(iter(cur[i])) for i in range(csp.n)})
-            if not all_solutions or (cap is not None and len(sols) > cap):
-                break
+            yield {i: next(iter(cur[i])) for i in range(csp.n)}
         else:
             stack.append((cur, var, sorted(cur[var]), 0))
 
@@ -175,20 +182,22 @@ def _search(csp: _Csp, *, all_solutions: bool, cap: Optional[int],
             stack.append((doms, var, values, idx + 1))
             child = [set(d) for d in doms]
             child[var] = {values[idx]}
-            nodes += 1
+            stats.nodes += 1
             ok, p = _ac3(csp, child, seed=_arcs_into(csp, var))
-            passes += p
+            stats.passes += p
             if ok:
                 cur = child
                 descended = True
         if not descended:
-            break
+            return
 
-    saw_more = False
-    if cap is not None and len(sols) > cap:
-        sols = sols[:cap]
-        saw_more = True
-    return sols, saw_more, nodes, passes
+
+def _first_solution(csp: _Csp) -> SolveOutcome:
+    """Decide by the first solution in minimum-remaining-values order."""
+    stats = _Counts()
+    witness = next(_search(csp, _pick_mrv, stats), None)
+    return SolveOutcome(witness is not None, witness, stats.nodes,
+                        stats.passes)
 
 
 def _normalize_lists(source: TropicalGraph, target: TropicalGraph,
@@ -232,11 +241,7 @@ def solve_list_hom(source: TropicalGraph, target: TropicalGraph,
                    lists: Optional[Mapping] = None) -> SolveOutcome:
     """Decide list homomorphism; exhaustive, deterministic witness."""
     doms = _normalize_lists(source, target, lists)
-    csp = _undirected_csp(source, target, doms)
-    sols, _, nodes, passes = _search(
-        csp, all_solutions=False, cap=None, static_order=False)
-    witness = sols[0] if sols else None
-    return SolveOutcome(bool(sols), witness, nodes, passes)
+    return _first_solution(_undirected_csp(source, target, doms))
 
 
 def enumerate_homs(source: TropicalGraph, target: TropicalGraph,
@@ -247,10 +252,14 @@ def enumerate_homs(source: TropicalGraph, target: TropicalGraph,
     if limit is not None and limit < 1:
         raise InputError("limit must be at least 1")
     doms = _normalize_lists(source, target, lists)
-    csp = _undirected_csp(source, target, doms)
-    sols, more, nodes, _ = _search(
-        csp, all_solutions=True, cap=limit, static_order=True)
-    return Enumeration(tuple(sols), more, nodes)
+    stats = _Counts()
+    sols = _search(_undirected_csp(source, target, doms), _pick_static,
+                   stats)
+    # One solution past the limit, if the search finds it, proves that
+    # the listing is truncated.
+    maps = tuple(islice(sols, None if limit is None else limit + 1))
+    truncated = limit is not None and len(maps) > limit
+    return Enumeration(maps[:limit], truncated, stats.nodes)
 
 
 def solve_trop_hom(source: TropicalGraph,
@@ -268,11 +277,7 @@ def solve_digraph_hom(d1: Digraph, d2: Digraph) -> SolveOutcome:
     for u, v in d1.arcs:
         cons[u].append((v, out_rel))
         cons[v].append((u, in_rel))
-    csp = _Csp(d1.n, doms, cons)
-    sols, _, nodes, passes = _search(
-        csp, all_solutions=False, cap=None, static_order=False)
-    witness = sols[0] if sols else None
-    return SolveOutcome(bool(sols), witness, nodes, passes)
+    return _first_solution(_Csp(d1.n, doms, cons))
 
 
 def solve_retraction(host: TropicalGraph, target: TropicalGraph,

@@ -37,6 +37,51 @@ def random_bipartite(rng: random.Random, max_n: int, palette_a: Sequence,
     return tgraph(n, edges, colours)
 
 
+def random_source(rng: random.Random, target: TropicalGraph,
+                  max_n: int = 10) -> TropicalGraph:
+    """Random test source over the target palette.
+
+    Half the draws are preimages of a random vertex map (guaranteed
+    solvable unless later perturbed), half are colour-random sparse graphs;
+    a small fraction of preimages get one colour flipped.
+    """
+    n = rng.randint(1, max_n)
+    palette = sorted(set(target.colours), key=repr)
+    if target.n and rng.random() < 0.5:
+        image = [rng.randrange(target.n) for _ in range(n)]
+        edges = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if target.has_edge(image[u], image[v]) and rng.random() < 0.7:
+                    edges.append((u, v))
+        colours = [target.colours[image[v]] for v in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            colours[rng.randrange(n)] = rng.choice(palette)
+        return tgraph(n, edges, colours)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < min(0.5, 2.5 / n)]
+    colours = [rng.choice(palette) for _ in range(n)]
+    return tgraph(n, edges, colours)
+
+
+def random_forcing_tree(rng: random.Random, max_n: int) -> TropicalGraph:
+    """Random tree whose every neighbourhood is rainbow-coloured, so every
+    vertex is forcing."""
+    n = rng.randint(1, max_n)
+    parents = [None] + [rng.randrange(v) for v in range(1, n)]
+    palette = [f"c{i}" for i in range(n + 1)]
+    colours = [rng.choice(palette)] + [None] * (n - 1)
+    children = {v: [w for w in range(1, n) if parents[w] == v]
+                for v in range(n)}
+    for v in range(n):
+        taken = {colours[parents[v]]} if parents[v] is not None else set()
+        for w in children[v]:
+            free = [c for c in palette if c not in taken]
+            colours[w] = rng.choice(free)
+            taken.add(colours[w])
+    return tgraph(n, [(parents[v], v) for v in range(1, n)], colours)
+
+
 def random_tree(rng: random.Random, max_n: int,
                 palette: Sequence) -> TropicalGraph:
     n = rng.randint(1, max_n)

@@ -16,13 +16,17 @@ from typing import Iterator, Mapping, Optional
 
 from . import gadgets
 from .gadgets import CnfFormula, GadgetGraph, NaeFormula
-from .graphs import InputError, TropicalGraph, plain, tgraph
+from .graphs import InputError, TropicalGraph, plain
 from .poly import dispatch_solve
 from .solver import colour_lists, enumerate_homs, solve_trop_hom
-from .testing import random_h9_instance
+from .testing import random_h9_instance, random_source
 
 
 BRUTE_VAR_LIMIT = 24
+# Largest run counts (l, k) the zig-zag verifier enumerates.
+ZIGZAG_LIMITS = (7, 6)
+# Largest random source cross_check_poly draws.
+CROSS_CHECK_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -229,16 +233,15 @@ def _maps_onto(source: TropicalGraph, target: TropicalGraph) -> bool:
     return any(set(m.values()) == full for m in found.maps)
 
 
-def verify_zigzag_properties(l: int, k: int,
-                             budget: tuple = (7, 6)) -> Report:
+def verify_zigzag_properties(l: int, k: int) -> Report:
     """Machine checks of the zig-zag path family facts.
 
     Properties 1-6 are decided exactly; the two extension properties are
     spot-checked on a small catalogue of witnesses and labelled so.
     """
-    if l > budget[0] or k > budget[1]:
-        raise InputError(f"enumeration budget is l<={budget[0]}, "
-                         f"k<={budget[1]}")
+    max_l, max_k = ZIGZAG_LIMITS
+    if l > max_l or k > max_k:
+        raise InputError(f"enumeration budget is l<={max_l}, k<={max_k}")
     p = gadgets.zigzag_p(l)
     p_i = {i: gadgets.zigzag_p(l, i) for i in range(1, l - 1)}
     q = gadgets.zigzag_q(k)
@@ -362,33 +365,6 @@ def roundtrip(kind: str, **payload) -> Report:
 # randomized suites
 
 
-def random_source(rng: random.Random, target: TropicalGraph,
-                  max_n: int = 10) -> TropicalGraph:
-    """Random test source over the target palette.
-
-    Half the draws are preimages of a random vertex map (guaranteed
-    solvable unless later perturbed), half are colour-random sparse graphs;
-    a small fraction of preimages get one colour flipped.
-    """
-    n = rng.randint(1, max_n)
-    palette = sorted(set(target.colours), key=repr)
-    if target.n and rng.random() < 0.5:
-        image = [rng.randrange(target.n) for _ in range(n)]
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if target.has_edge(image[u], image[v]) and rng.random() < 0.7:
-                    edges.append((u, v))
-        colours = [target.colours[image[v]] for v in range(n)]
-        if n > 1 and rng.random() < 0.25:
-            colours[rng.randrange(n)] = rng.choice(palette)
-        return tgraph(n, edges, colours)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < min(0.5, 2.5 / n)]
-    colours = [rng.choice(palette) for _ in range(n)]
-    return tgraph(n, edges, colours)
-
-
 def roundtrip_h9_batch(trials: int, seed: int) -> Report:
     """Pendant-target round-trips on seeded random list instances."""
     rng = random.Random(seed)
@@ -402,13 +378,13 @@ def roundtrip_h9_batch(trials: int, seed: int) -> Report:
 
 
 def cross_check_poly(target: TropicalGraph, trials: int = 200,
-                     seed: int = 7, max_n: int = 10) -> Report:
+                     seed: int = 7) -> Report:
     """Random sources: dispatcher status must equal the brute-force status."""
     rng = random.Random(seed)
     routes = set()
     mismatches = []
     for t in range(trials):
-        src = random_source(rng, target, max_n)
+        src = random_source(rng, target, CROSS_CHECK_MAX_N)
         got, report = dispatch_solve(src, target)
         routes.update(report.route)
         want = trop_hom_brute(src, target)

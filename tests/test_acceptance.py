@@ -7,12 +7,12 @@ from itertools import combinations, product
 
 from trophom import (core, cycle_graph, dispatch_solve, dgraph,
                      iso_check, solve_digraph_hom, solve_list_hom,
-                     solve_trop_hom, solve_2sat, tgraph, two_sat,
+                     solve_trop_hom, solve_2sat, two_sat,
                      validate_hom)
 from trophom.gadgets import nae_formula, tropicalize_digraph
 from trophom.poly import (ROUTE_FALLBACK, ROUTE_FORCING, ROUTE_TWOSAT,
                           ROUTE_FEATURE)
-from trophom.testing import random_tropical
+from trophom.testing import random_forcing_tree, random_tropical
 from trophom.verify import (list_hom_brute, roundtrip_h9, roundtrip_nae,
                             trop_hom_brute, verify_c48_claim,
                             verify_pq_lemma, verify_zigzag_properties)
@@ -96,22 +96,6 @@ def test_criterion_06_zigzag_properties():
     _stamp("criterion 6: zig-zag properties at (3,4), (5,4), (5,6)", t0, 300)
 
 
-def _all_forcing_target(rng, max_n=6):
-    n = rng.randint(1, max_n)
-    parents = [None] + [rng.randrange(v) for v in range(1, n)]
-    palette = [f"c{i}" for i in range(n + 1)]
-    colours = [rng.choice(palette)] + [None] * (n - 1)
-    children = {v: [w for w in range(1, n) if parents[w] == v]
-                for v in range(n)}
-    for v in range(n):
-        taken = {colours[parents[v]]} if parents[v] is not None else set()
-        for w in children[v]:
-            free = [c for c in palette if c not in taken]
-            colours[w] = rng.choice(free)
-            taken.add(colours[w])
-    return tgraph(n, [(parents[v], v) for v in range(1, n)], colours)
-
-
 def _small_colour_target(rng):
     from trophom.testing import random_bipartite
     while True:
@@ -134,7 +118,7 @@ def test_criterion_07_dispatch_matches_oracle_across_suites():
     rng = random.Random(1500)
     total = 0
     for make_target, src_palette in (
-            (_all_forcing_target, None),
+            (lambda rng: random_forcing_tree(rng, 6), None),
             (_small_colour_target, ["a1", "a2", "b1", "b2"]),
             (_feature_target, ["a", "b", "c"])):
         for _ in range(500):

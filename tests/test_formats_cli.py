@@ -206,6 +206,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"passed": true' in out
         assert main(["verify", "zigzag", "--l", "3", "--k", "4"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "zigzag", "--l", "3"]) == 0
+        assert "(l=3, k=4)" in capsys.readouterr().out
 
     def test_verify_roundtrip_and_crosscheck(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"

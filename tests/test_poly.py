@@ -3,14 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from trophom import (FeatureSet, PreconditionError, cycle_graph,
+from trophom import (FeatureSet, InputError, PreconditionError, cycle_graph,
                      detect_features, dispatch_solve, forcing_vertices,
                      path_graph, plain, reduce_by_features, solve_2sat,
                      solve_all_forcing, solve_by_colour_pairs, solve_list_hom,
                      solve_via_pairs, tgraph, two_sat, validate_hom)
 from trophom.gadgets import build_c48, build_h9
 from trophom.poly import ROUTE_FALLBACK
-from trophom.testing import random_bipartite, random_tropical
+from trophom.testing import (random_bipartite, random_forcing_tree,
+                             random_tropical)
 from trophom.verify import trop_hom_brute
 
 
@@ -40,29 +41,6 @@ def all_clauses(n_vars):
                 seen.add(key)
                 out.append((la, lb))
     return out
-
-
-def random_all_forcing_target(rng, max_n=6):
-    """Random tree whose every neighbourhood is rainbow-coloured."""
-    n = rng.randint(1, max_n)
-    parents = [None] + [rng.randrange(v) for v in range(1, n)]
-    colours = [None] * n
-    palette = [f"c{i}" for i in range(n + 1)]
-    colours[0] = rng.choice(palette)
-    children = {v: [w for w in range(1, n) if parents[w] == v]
-                for v in range(n)}
-    order = list(range(n))
-    for v in order:
-        taken = set()
-        if parents[v] is not None:
-            taken.add(colours[parents[v]])
-        for w in children[v]:
-            if colours[w] is None:
-                free = [c for c in palette if c not in taken]
-                colours[w] = rng.choice(free)
-            taken.add(colours[w])
-    edges = [(parents[v], v) for v in range(1, n)]
-    return tgraph(n, edges, colours)
 
 
 class TestForcingVertices:
@@ -123,7 +101,7 @@ class TestSolveAllForcing:
     def test_oracle_equivalence_on_seeded_suite(self):
         rng = random.Random(500)
         for _ in range(500):
-            target = random_all_forcing_target(rng, 6)
+            target = random_forcing_tree(rng, 6)
             assert forcing_vertices(target) == frozenset(range(target.n))
             src = random_tropical(rng, 12, list(set(target.colours)) + ["zz"],
                                   edge_prob=0.3)
@@ -256,6 +234,24 @@ class TestDetectFeatures:
 
 
 class TestReduceByFeatures:
+    @pytest.mark.parametrize("target, features", [
+        # vertex 0 is both a type-1 and a type-3 feature, claimed twice
+        (path_graph(["R", "B", "G"]),
+         FeatureSet(type1=frozenset({0}), type3=frozenset({0}))),
+        # type-4 vertex 1 borders the deleted type-1 vertex 0
+        (path_graph(["R", "B", "G"]),
+         FeatureSet(type1=frozenset({0}), type4=frozenset({1}))),
+        # vertex 1 sees two colours, so it is no type-3 feature
+        (path_graph(["R", "B", "G"]), FeatureSet(type3=frozenset({1}))),
+        # the colour pair of edge (0, 1) repeats on edge (2, 3)
+        (tgraph(4, [(0, 1), (2, 3)], ["R", "B", "R", "B"]),
+         FeatureSet(type2=frozenset({(0, 1)}))),
+    ])
+    def test_invalid_feature_sets_are_rejected(self, target, features):
+        src = plain(1, [], colour="R")
+        with pytest.raises(InputError):
+            reduce_by_features(src, target, features)
+
     def test_empty_set_is_identity(self):
         g = cycle_graph(["R", "B"] * 3)
         src = path_graph(["R", "B", "R"])
