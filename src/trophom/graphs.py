@@ -262,16 +262,16 @@ def connected_components(g: TropicalGraph) -> list:
     return out
 
 
-def bipartition(g: TropicalGraph) -> Optional[Bipartition]:
-    """A two-sided partition with every edge crossing, or None on odd cycles.
-
-    Per connected component the side holding the component's smallest vertex
-    goes into part A, which makes the result deterministic.
-    """
+def _sides(g: TropicalGraph) -> Optional[tuple]:
+    """BFS 2-colouring: (side bit per vertex, number of BFS roots), or None
+    on an odd cycle.  Each root is a component's smallest vertex and gets
+    bit 0, so g is connected iff there is at most one root."""
     side = [-1] * g.n
+    roots = 0
     for start in range(g.n):
         if side[start] != -1:
             continue
+        roots += 1
         side[start] = 0
         queue = deque([start])
         while queue:
@@ -282,29 +282,40 @@ def bipartition(g: TropicalGraph) -> Optional[Bipartition]:
                     queue.append(w)
                 elif side[w] == side[v]:
                     return None
+    return side, roots
+
+
+def bipartition(g: TropicalGraph) -> Optional[Bipartition]:
+    """A two-sided partition with every edge crossing, or None on odd cycles.
+
+    Per connected component the side holding the component's smallest vertex
+    goes into part A, which makes the result deterministic.
+    """
+    found = _sides(g)
+    if found is None:
+        return None
+    side = found[0]
     a = frozenset(v for v in range(g.n) if side[v] == 0)
     b = frozenset(v for v in range(g.n) if side[v] == 1)
     return Bipartition(a, b)
 
 
-def _require_connected_bipartite(g: TropicalGraph) -> Bipartition:
-    # The cheaper test first: dispatch_solve meets odd cycles here often.
-    bip = bipartition(g)
-    if bip is None:
+def _require_connected_bipartite(g: TropicalGraph) -> list:
+    """Side bits of a connected bipartite graph, bit 0 on vertex 0's side."""
+    found = _sides(g)
+    if found is None:
         raise PreconditionError("graph must be bipartite")
-    if g.n and len(connected_components(g)) != 1:
+    side, roots = found
+    if roots > 1:
         raise PreconditionError("graph must be connected")
-    return bip
+    return side
 
 
 def split_colours(target: TropicalGraph) -> TropicalGraph:
     """Recolour a connected bipartite graph so the two sides use disjoint
     palettes: colour c becomes (c, sideBit), bit 0 on the side of vertex 0."""
-    bip = _require_connected_bipartite(target)
-    bits = {v: 0 for v in bip.part_a}
-    bits.update({v: 1 for v in bip.part_b})
-    return target.recoloured(
-        tuple((target.colours[v], bits[v]) for v in range(target.n)))
+    bits = _require_connected_bipartite(target)
+    return target.recoloured(tuple(zip(target.colours, bits)))
 
 
 def split_instance(source: TropicalGraph) -> tuple:
@@ -313,11 +324,8 @@ def split_instance(source: TropicalGraph) -> tuple:
     Solving either against split_colours(target) is equivalent to solving
     the original instance against the target.
     """
-    bip = _require_connected_bipartite(source)
-    bits = {v: 0 for v in bip.part_a}
-    bits.update({v: 1 for v in bip.part_b})
-    first = source.recoloured(
-        tuple((source.colours[v], bits[v]) for v in range(source.n)))
+    bits = _require_connected_bipartite(source)
+    first = source.recoloured(tuple(zip(source.colours, bits)))
     second = source.recoloured(
-        tuple((source.colours[v], 1 - bits[v]) for v in range(source.n)))
+        tuple((c, 1 - b) for c, b in zip(source.colours, bits)))
     return first, second

@@ -15,6 +15,7 @@ solver only when nothing applies; its status always equals ground truth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -372,11 +373,12 @@ def _is_type3(target: TropicalGraph, u: int) -> bool:
     return True
 
 
-def _is_type4(target: TropicalGraph, u: int) -> bool:
+def _is_type4(target: TropicalGraph, u: int, forcing: frozenset) -> bool:
+    """forcing is forcing_vertices(target), computed once by the caller."""
     if not target.adjacency[u]:
         # an isolated vertex would be deleted with no pendant replacing it
         return False
-    if u not in forcing_vertices(target):
+    if u not in forcing:
         return False
     cu = target.colours[u]
     nbr_colours = sorted({target.colours[w] for w in target.adjacency[u]},
@@ -401,7 +403,9 @@ def detect_features(target: TropicalGraph) -> FeatureSet:
     t1 = frozenset(u for u in range(target.n) if _is_type1(target, u))
     t2 = frozenset(e for e in target.edges if _is_type2(target, e))
     t3 = frozenset(u for u in range(target.n) if _is_type3(target, u))
-    t4 = frozenset(u for u in range(target.n) if _is_type4(target, u))
+    forcing = forcing_vertices(target)
+    t4 = frozenset(u for u in range(target.n)
+                   if _is_type4(target, u, forcing))
     return FeatureSet(t1, t2, t3, t4)
 
 
@@ -446,8 +450,9 @@ def _validate_features(target: TropicalGraph, s: FeatureSet):
     for u in s.type3:
         if not _is_type3(target, u):
             raise InputError(f"vertex {u} is not a type-3 feature")
+    forcing = forcing_vertices(target)
     for u in s.type4:
-        if not _is_type4(target, u):
+        if not _is_type4(target, u, forcing):
             raise InputError(f"vertex {u} is not a type-4 feature")
     if _disjoint_features(s, target) != s:
         raise InputError("feature vertex sets must be pairwise disjoint, "
@@ -618,6 +623,9 @@ ROUTE_SPLIT = "SplitColours"
 ROUTE_FALLBACK = "ExactFallback"
 # Targets up to this many vertices are replaced by their core first.
 _CORE_BOUND = 20
+# Target plans kept by _plan_dispatch; a plan for a target of up to
+# _CORE_BOUND vertices takes about 5-6 KB.
+_PLAN_CACHE = 32
 
 
 @dataclass(frozen=True)
@@ -707,19 +715,16 @@ def _solve_component(sc: TropicalGraph, plan: _TargetPlan,
     return SolveOutcome(False, None)
 
 
-def dispatch_solve(source: TropicalGraph,
-                   target: TropicalGraph) -> tuple:
-    """Route the instance through the strategy pipeline.
-
-    Returns (SolveOutcome, StrategyReport).  The route lists the pipeline
-    steps chosen for the target; ExactFallback appears only when no
-    polynomial strategy applied.  The status always equals the exact
-    solver's answer.
-    """
-    notes: list = []
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _plan_dispatch(target: TropicalGraph) -> tuple:
+    """(plans, route, notes) for the target, all tuples: one (plan, tmap)
+    per target component, the merged route with ExactFallback last, and
+    one note per component.  Cached by the target's value, so the result
+    must stay immutable."""
     target_comps = connected_components(target)
     plans = []
     route: list = []
+    notes = []
     for ci, (tc, tmap) in enumerate(target_comps):
         plan = _plan_target(tc)
         plans.append((plan, tmap))
@@ -734,7 +739,25 @@ def dispatch_solve(source: TropicalGraph,
         route = list(plans[0][0].steps)
     if ROUTE_FALLBACK in route:
         route = [s for s in route if s != ROUTE_FALLBACK] + [ROUTE_FALLBACK]
+    return tuple(plans), tuple(route), tuple(notes)
 
+
+def dispatch_solve(source: TropicalGraph,
+                   target: TropicalGraph) -> tuple:
+    """Route the instance through the strategy pipeline.
+
+    Returns (SolveOutcome, StrategyReport).  The route lists the pipeline
+    steps chosen for the target; ExactFallback appears only when no
+    polynomial strategy applied.  The status always equals the exact
+    solver's answer.
+
+    Each target is planned once: the plan (components, core, colour split,
+    route) is kept in a bounded cache keyed by the target's value, so an
+    equal target built again reuses it.  The answer and the report do not
+    depend on whether the plan was cached.
+    """
+    plans, route, target_notes = _plan_dispatch(target)
+    notes = list(target_notes)
     witness: Optional[dict] = {}
     for si, (sc, smap) in enumerate(connected_components(source)):
         for plan, tmap in plans:
@@ -746,5 +769,5 @@ def dispatch_solve(source: TropicalGraph,
         else:
             witness = None
             break
-    report = StrategyReport(tuple(route), tuple(notes))
+    report = StrategyReport(route, tuple(notes))
     return SolveOutcome(witness is not None, witness), report

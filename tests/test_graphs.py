@@ -133,6 +133,15 @@ class TestSplitColours:
         with pytest.raises(PreconditionError):
             split_colours(plain(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("split", [split_colours, split_instance])
+    def test_bipartite_check_comes_first(self, split):
+        odd_and_edge = plain(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        with pytest.raises(PreconditionError, match="bipartite"):
+            split(odd_and_edge)
+        with pytest.raises(PreconditionError, match="connected"):
+            split(plain(4, [(0, 1), (2, 3)]))
+        split(plain(0, []))
+
     def test_refines_colour_partition(self):
         rng = random.Random(5)
         for _ in range(40):

@@ -9,6 +9,7 @@ from trophom import (FeatureSet, InputError, PreconditionError, cycle_graph,
                      solve_all_forcing, solve_by_colour_pairs, solve_list_hom,
                      solve_via_pairs, tgraph, two_sat, validate_hom)
 from trophom.gadgets import build_c48, build_h9
+from trophom import poly
 from trophom.poly import ROUTE_FALLBACK
 from trophom.testing import (random_bipartite, random_forcing_tree,
                              random_tropical)
@@ -225,10 +226,11 @@ class TestDetectFeatures:
         for _ in range(50):
             g = random_tropical(rng, 7, ["a", "b", "c"])
             fs = detect_features(g)
+            forcing = forcing_vertices(g)
             for u in range(g.n):
                 assert (u in fs.type1) == _is_type1(g, u)
                 assert (u in fs.type3) == _is_type3(g, u)
-                assert (u in fs.type4) == _is_type4(g, u)
+                assert (u in fs.type4) == _is_type4(g, u, forcing)
             for e in g.edges:
                 assert (e in fs.type2) == _is_type2(g, e)
 
@@ -359,3 +361,53 @@ class TestDispatch:
         assert out.solvable
         assert trop_hom_brute(src, target)
         assert validate_hom(src, target, out.witness)
+
+
+class TestPlanCache:
+    def test_equal_target_is_planned_once(self, monkeypatch):
+        calls = []
+        real_core = poly.core
+
+        def counting_core(g):
+            calls.append(g)
+            return real_core(g)
+
+        monkeypatch.setattr(poly, "core", counting_core)
+        target = build_h9().graph
+        src = cycle_graph(["Black"] * 6)
+        first, _ = dispatch_solve(src, target)
+        assert calls
+        calls.clear()
+        again, _ = dispatch_solve(src, target)
+        rebuilt = tgraph(target.n, sorted(target.edges), list(target.colours))
+        assert rebuilt is not target
+        equal, _ = dispatch_solve(src, rebuilt)
+        assert calls == []
+        assert first == again == equal
+
+    def test_cold_and_warm_calls_agree(self):
+        rng = random.Random(888)
+        cases = [(cycle_graph(["x"] * 5), cycle_graph(["x"] * 6))]
+        for _ in range(150):
+            cases.append((random_tropical(rng, 8, ["a", "b", "c"],
+                                          edge_prob=0.3),
+                          random_tropical(rng, 7, ["a", "b", "c"],
+                                          edge_prob=0.35)))
+        for src, tgt in cases:
+            poly._plan_dispatch.cache_clear()
+            cold = dispatch_solve(src, tgt)
+            assert poly._plan_dispatch.cache_info().currsize == 1
+            assert dispatch_solve(src, tgt) == cold
+            assert dispatch_solve(src, tgt) == cold
+        # the odd cycle's source note is not kept in the cached plan
+        _, report = dispatch_solve(*cases[0])
+        assert report.notes == ("target: CoreReduced -> SplitColours -> "
+                                "AllForcing",
+                                "source[0]: odd cycle against a bipartite "
+                                "target")
+
+    def test_cache_is_bounded(self):
+        src = path_graph(["c0", "c1"])
+        for k in range(poly._PLAN_CACHE + 5):
+            dispatch_solve(src, path_graph([f"c{i}" for i in range(k + 1)]))
+        assert poly._plan_dispatch.cache_info().currsize <= poly._PLAN_CACHE
