@@ -16,6 +16,7 @@ solver only when nothing applies; its status always equals ground truth.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -51,15 +52,26 @@ def forcing_vertices(target: TropicalGraph) -> frozenset:
     return frozenset(out)
 
 
-def _forcing_tables(target: TropicalGraph) -> list:
+def _forcing_tables(target: TropicalGraph) -> tuple:
     """For each target vertex, map neighbour colour -> the one neighbour.
 
     PreconditionError unless every target vertex is forcing.
     """
     if len(forcing_vertices(target)) != target.n:
         raise PreconditionError("target has a non-forcing vertex")
-    return [{target.colours[w]: w for w in target.adjacency[v]}
-            for v in range(target.n)]
+    return tuple({target.colours[w]: w for w in target.adjacency[v]}
+                 for v in range(target.n))
+
+
+def _tables_of(target: TropicalGraph) -> tuple:
+    """_forcing_tables(target), built once per target object and kept on
+    it like its adjacency, so a planned target's solves reuse the tables
+    its route check built."""
+    tables = target.__dict__.get("_forcing")
+    if tables is None:
+        tables = _forcing_tables(target)
+        object.__setattr__(target, "_forcing", tables)
+    return tables
 
 
 def solve_all_forcing(source: TropicalGraph,
@@ -70,7 +82,7 @@ def solve_all_forcing(source: TropicalGraph,
     vertex, propagate the forced images breadth-first, accept on the first
     completed trial.  Exhaustive because the propagation is deterministic.
     """
-    tables = _forcing_tables(target)
+    tables = _tables_of(target)
     classes = target.colour_classes()
 
     witness: dict = {}
@@ -341,71 +353,81 @@ def _is_type1(target: TropicalGraph, u: int) -> bool:
     return len(target.colour_classes()[target.colours[u]]) == 1
 
 
-def _is_type2(target: TropicalGraph, edge) -> bool:
+def _colour_pair_counts(target: TropicalGraph) -> Counter:
+    """Number of edges per unordered pair of endpoint colours."""
+    return Counter(frozenset((target.colours[u], target.colours[v]))
+                   for u, v in target.edges)
+
+
+def _nbr_colours(target: TropicalGraph) -> tuple:
+    """The set of colours each vertex sees on its neighbours."""
+    return tuple(frozenset(target.colours[w] for w in target.adjacency[v])
+                 for v in range(target.n))
+
+
+# The checks below take the tables above from a caller that tests many
+# vertices or edges of one target, and build them when called alone.
+
+
+def _is_type2(target: TropicalGraph, edge, pair_counts=None) -> bool:
     a, b = edge
     ca, cb = target.colours[a], target.colours[b]
     if ca == cb:
         # The elimination pins the two endpoints to the two ends of this
         # edge; with equal colours that orientation is ill-defined.
         return False
-    for u, v in target.edges:
-        if (u, v) == edge:
-            continue
-        if {target.colours[u], target.colours[v]} == {ca, cb}:
-            return False
-    return True
+    if pair_counts is None:
+        pair_counts = _colour_pair_counts(target)
+    others = pair_counts[frozenset((ca, cb))] - (edge in target.edges)
+    return others == 0
 
 
-def _is_type3(target: TropicalGraph, u: int) -> bool:
-    nbrs = target.adjacency[u]
-    if not nbrs:
+def _is_type3(target: TropicalGraph, u: int, ncol=None) -> bool:
+    if ncol is None:
+        ncol = _nbr_colours(target)
+    if len(ncol[u]) != 1:
         return False
-    s = {target.colours[w] for w in nbrs}
-    if len(s) != 1:
-        return False
-    s_colour = next(iter(s))
+    (s_colour,) = ncol[u]
     cu = target.colours[u]
-    for w in range(target.n):
-        if target.colours[w] != s_colour or w in nbrs:
-            continue
-        if any(target.colours[x] == cu for x in target.adjacency[w]):
-            return False
-    return True
+    nbrs = target.adjacency[u]
+    return not any(cu in ncol[w] and w not in nbrs
+                   for w in target.colour_classes()[s_colour])
 
 
-def _is_type4(target: TropicalGraph, u: int, forcing: frozenset) -> bool:
+def _is_type4(target: TropicalGraph, u: int, forcing: frozenset,
+              ncol=None) -> bool:
     """forcing is forcing_vertices(target), computed once by the caller."""
-    if not target.adjacency[u]:
+    if ncol is None:
+        ncol = _nbr_colours(target)
+    mine = ncol[u]
+    if not mine:
         # an isolated vertex would be deleted with no pendant replacing it
         return False
     if u not in forcing:
         return False
-    cu = target.colours[u]
-    nbr_colours = sorted({target.colours[w] for w in target.adjacency[u]},
-                         key=repr)
-    if len(nbr_colours) < 2:
+    if len(mine) < 2:
         return True
     # No other vertex of u's colour may see two of these colours at once;
     # that covers paths through u as an endpoint as well as paths avoiding
     # u entirely, which is what the elimination actually relies on.
-    for m in range(target.n):
-        if m == u or target.colours[m] != cu:
-            continue
-        seen = {target.colours[w] for w in target.adjacency[m]}
-        hits = [c for c in nbr_colours if c in seen]
-        if len(hits) >= 2:
-            return False
-    return True
+    return not any(m != u and len(ncol[m] & mine) >= 2
+                   for m in target.colour_classes()[target.colours[u]])
 
 
 def detect_features(target: TropicalGraph) -> FeatureSet:
-    """Maximal feature sets of each kind; memberships are re-checkable."""
+    """Maximal feature sets of each kind; memberships are re-checkable.
+
+    Linear in the target's edges apart from the scans of one colour class
+    per vertex in the type-3 and type-4 checks."""
+    pairs = _colour_pair_counts(target)
+    ncol = _nbr_colours(target)
     t1 = frozenset(u for u in range(target.n) if _is_type1(target, u))
-    t2 = frozenset(e for e in target.edges if _is_type2(target, e))
-    t3 = frozenset(u for u in range(target.n) if _is_type3(target, u))
+    t2 = frozenset(e for e in target.edges if _is_type2(target, e, pairs))
+    t3 = frozenset(u for u in range(target.n)
+                   if _is_type3(target, u, ncol))
     forcing = forcing_vertices(target)
     t4 = frozenset(u for u in range(target.n)
-                   if _is_type4(target, u, forcing))
+                   if _is_type4(target, u, forcing, ncol))
     return FeatureSet(t1, t2, t3, t4)
 
 
@@ -440,20 +462,25 @@ def _disjoint_features(fs: FeatureSet, target: TropicalGraph) -> FeatureSet:
 
 
 def _validate_features(target: TropicalGraph, s: FeatureSet):
+    # Build only the tables the given kinds need: the dispatcher validates
+    # a small feature set on every source it reduces.
+    pairs = _colour_pair_counts(target) if s.type2 else None
+    ncol = _nbr_colours(target) if s.type3 or s.type4 else None
     for u in s.type1:
         if not _is_type1(target, u):
             raise InputError(f"vertex {u} is not a type-1 feature")
     for e in s.type2:
         edge = tuple(sorted(e))
-        if edge not in target.edges or not _is_type2(target, edge):
+        if edge not in target.edges or not _is_type2(target, edge, pairs):
             raise InputError(f"edge {e} is not a type-2 feature")
     for u in s.type3:
-        if not _is_type3(target, u):
+        if not _is_type3(target, u, ncol):
             raise InputError(f"vertex {u} is not a type-3 feature")
-    forcing = forcing_vertices(target)
-    for u in s.type4:
-        if not _is_type4(target, u, forcing):
-            raise InputError(f"vertex {u} is not a type-4 feature")
+    if s.type4:
+        forcing = forcing_vertices(target)
+        for u in s.type4:
+            if not _is_type4(target, u, forcing, ncol):
+                raise InputError(f"vertex {u} is not a type-4 feature")
     if _disjoint_features(s, target) != s:
         raise InputError("feature vertex sets must be pairwise disjoint, "
                          "and no type-4 vertex may border another deleted "
@@ -670,7 +697,7 @@ def _strategy(t: TropicalGraph) -> tuple:
     all-forcing, colour classes of size <= 2, unique features, and the
     exact solver last.  Each solver takes one source component and looks
     the strategy up by its public name when it runs."""
-    if _holds(_forcing_tables, t):
+    if _holds(_tables_of, t):
         return ROUTE_FORCING, lambda src: solve_all_forcing(src, t)
     if _holds(colour_class_pairs, t):
         return ROUTE_TWOSAT, lambda src: solve_by_colour_pairs(src, t)
@@ -701,6 +728,8 @@ def _plan_target(tc: TropicalGraph) -> _TargetPlan:
 
 def _solve_component(sc: TropicalGraph, plan: _TargetPlan,
                      notes: list, label: str) -> SolveOutcome:
+    """The plan's answer for one source component; nodes and passes add
+    up over the colour-split variants it tries."""
     if not plan.split:
         return plan.solve(sc)
     try:
@@ -708,11 +737,14 @@ def _solve_component(sc: TropicalGraph, plan: _TargetPlan,
     except PreconditionError:  # sc is connected, so it is not bipartite
         notes.append(f"{label}: odd cycle against a bipartite target")
         return SolveOutcome(False, None)
+    nodes = passes = 0
     for variant in variants:
         out = plan.solve(variant)
+        nodes += out.nodes
+        passes += out.passes
         if out.solvable:
-            return out
-    return SolveOutcome(False, None)
+            return SolveOutcome(True, out.witness, nodes, passes)
+    return SolveOutcome(False, None, nodes, passes)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
@@ -749,7 +781,9 @@ def dispatch_solve(source: TropicalGraph,
     Returns (SolveOutcome, StrategyReport).  The route lists the pipeline
     steps chosen for the target; ExactFallback appears only when no
     polynomial strategy applied.  The status always equals the exact
-    solver's answer.
+    solver's answer.  The outcome's nodes and passes are the sums over
+    every component solve the dispatch ran (the exact solver's search
+    nodes and arc revisions, the all-forcing route's anchor trials).
 
     Each target is planned once: the plan (components, core, colour split,
     route) is kept in a bounded cache keyed by the target's value, so an
@@ -759,9 +793,12 @@ def dispatch_solve(source: TropicalGraph,
     plans, route, target_notes = _plan_dispatch(target)
     notes = list(target_notes)
     witness: Optional[dict] = {}
+    nodes = passes = 0
     for si, (sc, smap) in enumerate(connected_components(source)):
         for plan, tmap in plans:
             out = _solve_component(sc, plan, notes, f"source[{si}]")
+            nodes += out.nodes
+            passes += out.passes
             if out.solvable:
                 witness.update((smap[v], tmap[plan.to_original[img]])
                                for v, img in out.witness.items())
@@ -770,4 +807,4 @@ def dispatch_solve(source: TropicalGraph,
             witness = None
             break
     report = StrategyReport(route, tuple(notes))
-    return SolveOutcome(witness is not None, witness), report
+    return SolveOutcome(witness is not None, witness, nodes, passes), report

@@ -10,11 +10,19 @@ Decision and enumeration share one search generator and differ only in
 its branching rule: the first witness is taken in minimum-remaining-values
 order (ties and values by lowest index), enumeration branches on variables
 in index order so maps come out in lexicographic order of their images.
+
+Domains are int bitmasks (bit a set when target vertex a is allowed), so
+a branch copies one list of ints.  Arcs are integer ids in one list, and
+the arc-consistency queue holds ids with a bytearray marking the queued
+ones.  A revision is one AND with a memoised support: each relation keeps
+a dict from the mask of the partner's domain to the mask of values that
+have a compatible value in it, filled on a miss and dropped with the CSP.
+There is no undo trail: at these sizes copying the domain list is one
+C-level slice.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Mapping, Optional
@@ -47,92 +55,126 @@ class Enumeration:
     nodes: int = 0
 
 
-class _Csp:
-    """Binary CSP over dense integer variables.
+class _Supports(dict):
+    """One relation, with its supports memoised.
 
-    cons[u] is a list of (v, rel) pairs; rel maps a value of u to the set of
-    compatible values of v.  Constraints are stored in both directions, and
-    several relations on the same ordered pair (a digraph 2-cycle, say) are
-    merged by intersection since one joint assignment must satisfy them all.
+    rows[a] is the mask of values of v compatible with u = a.  The dict
+    maps a mask of v's domain to the mask of values of u with at least one
+    compatible value in it, filled on a miss; it lives as long as its _Csp.
     """
 
-    __slots__ = ("n", "domains", "cons", "into")
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = tuple(rows)
+
+    @classmethod
+    def of(cls, rel) -> "_Supports":
+        """From rel[a], the set of values of v compatible with u = a."""
+        return cls(map(_mask, rel))
+
+    def __missing__(self, dv):
+        s = 0
+        for a, row in enumerate(self.rows):
+            if row & dv:
+                s |= 1 << a
+        self[dv] = s
+        return s
+
+
+def _mask(values) -> int:
+    m = 0
+    for a in values:
+        m |= 1 << a
+    return m
+
+
+class _Csp:
+    """Binary CSP over dense integer variables and bitmask domains.
+
+    domains[u] is an int whose bit a is set when value a is allowed.
+    cons[u] lists (v, rel) pairs with rel a _Supports; arcs that share a
+    relation object share its memo.  Constraints are stored in both
+    directions, and several relations on the same ordered pair (a digraph
+    2-cycle, say) are merged by intersection since one joint assignment
+    must satisfy them all.
+
+    Each ordered pair becomes an arc id: arcs[i] is (u, v, rel), in order
+    of u and then v, and into[v] lists (i, u) for the arcs whose support
+    lies in v, i.e. the arcs to re-examine when v's domain shrinks.
+    """
+
+    __slots__ = ("n", "domains", "arcs", "into")
 
     def __init__(self, n: int, domains, cons):
         self.n = n
         self.domains = domains
-        merged = [[] for _ in range(n)]
+        arcs = []
+        into = [[] for _ in range(n)]
         for u, pairs in enumerate(cons):
             by_partner: dict = {}
             for v, rel in pairs:
                 old = by_partner.get(v)
-                if old is None:
-                    by_partner[v] = rel
-                elif old is not rel:
-                    by_partner[v] = tuple(
-                        old[a] & rel[a] for a in range(len(rel)))
-            merged[u] = sorted(by_partner.items())
-        self.cons = merged
-        # into[v]: list of (u, rel_uv) constraints whose support set is v,
-        # i.e. the arcs to re-examine when v's domain shrinks.
-        into = [[] for _ in range(n)]
-        for u, pairs in enumerate(merged):
-            for v, rel in pairs:
-                into[v].append((u, rel))
+                if old is not None and old is not rel:
+                    rel = _Supports(map(int.__and__, old.rows, rel.rows))
+                by_partner[v] = rel
+            for v in sorted(by_partner):
+                into[v].append((len(arcs), u))
+                arcs.append((u, v, by_partner[v]))
+        self.arcs = arcs
         self.into = into
 
 
-def _revise(doms, u, v, rel) -> bool:
-    """Drop values of u with no support in v's domain."""
-    dv = doms[v]
-    dead = [a for a in doms[u] if dv.isdisjoint(rel[a])]
-    if dead:
-        doms[u].difference_update(dead)
-        return True
-    return False
-
-
 def _ac3(csp: _Csp, doms, seed=None) -> tuple:
-    """Run arc consistency to a fixpoint; returns (consistent, revise_count)."""
+    """Run arc consistency to a fixpoint; returns (consistent, revise_count).
+
+    A revision of arc (u, v) keeps the values of u with support in v's
+    domain: doms[u] & supports[doms[v]].  seed lists the arc ids to start
+    from, all arcs when None.
+    """
+    arcs, into = csp.arcs, csp.into
+    # A list read front to back is the FIFO queue: iteration sees the ids
+    # appended behind it, and queued[i] is set while i waits unread.
     if seed is None:
-        queue = deque(
-            (u, v, rel) for u in range(csp.n) for v, rel in csp.cons[u])
+        queue = list(range(len(arcs)))
+        queued = bytearray(b"\x01") * len(arcs)
     else:
-        queue = deque(seed)
-    queued = set((u, v) for u, v, _ in queue)
-    passes = 0
-    while queue:
-        u, v, rel = queue.popleft()
-        queued.discard((u, v))
-        passes += 1
-        if _revise(doms, u, v, rel):
-            if not doms[u]:
+        queue = list(seed)
+        queued = bytearray(len(arcs))
+        for i in queue:
+            queued[i] = 1
+    for passes, i in enumerate(queue, 1):
+        queued[i] = 0
+        u, v, sup = arcs[i]
+        du = doms[u]
+        nd = du & sup[doms[v]]
+        if nd != du:
+            if not nd:
                 return False, passes
-            for w, rel_wu in csp.into[u]:
-                if w != v and (w, u) not in queued:
-                    queue.append((w, u, rel_wu))
-                    queued.add((w, u))
-    return True, passes
-
-
-def _arcs_into(csp: _Csp, v) -> list:
-    return [(u, v, rel) for u, rel in csp.into[v]]
+            doms[u] = nd
+            for j, w in into[u]:
+                if w != v and not queued[j]:
+                    queue.append(j)
+                    queued[j] = 1
+    return True, len(queue)
 
 
 def _pick_mrv(doms) -> Optional[int]:
     best, size = None, None
     for i, d in enumerate(doms):
-        k = len(d)
-        if k > 1 and (size is None or k < size):
-            best, size = i, k
-            if k == 2:
-                break
+        if d & (d - 1):
+            k = d.bit_count()
+            if size is None or k < size:
+                best, size = i, k
+                if k == 2:
+                    break
     return best
 
 
 def _pick_static(doms) -> Optional[int]:
     for i, d in enumerate(doms):
-        if len(d) > 1:
+        if d & (d - 1):
             return i
     return None
 
@@ -154,36 +196,37 @@ def _search(csp: _Csp, pick, stats: _Counts) -> Iterator[dict]:
     (a variable, or None when all domains are singletons) and ascending
     values give; the caller stops pulling when it has what it needs.
     """
-    root = [set(d) for d in csp.domains]
-    if any(not d for d in root):
+    root = list(csp.domains)
+    if not all(root):
         return
     ok, p = _ac3(csp, root)
     stats.passes += p
     if not ok:
         return
 
-    # Each frame: (domains, branch variable, ordered values, next value idx).
+    # Each frame: (domains, branch variable, mask of values left to try).
     stack: list = []
     cur = root
     while True:
         var = pick(cur)
         if var is None:
             # All singletons; arc consistency makes this a solution.
-            yield {i: next(iter(cur[i])) for i in range(csp.n)}
+            yield {i: d.bit_length() - 1 for i, d in enumerate(cur)}
         else:
-            stack.append((cur, var, sorted(cur[var]), 0))
+            stack.append((cur, var, cur[var]))
 
         # Descend into the next unexplored branch, backtracking as needed.
         descended = False
         while stack and not descended:
-            doms, var, values, idx = stack.pop()
-            if idx >= len(values):
+            doms, var, left = stack.pop()
+            if not left:
                 continue
-            stack.append((doms, var, values, idx + 1))
-            child = [set(d) for d in doms]
-            child[var] = {values[idx]}
+            low = left & -left
+            stack.append((doms, var, left ^ low))
+            child = doms[:]
+            child[var] = low
             stats.nodes += 1
-            ok, p = _ac3(csp, child, seed=_arcs_into(csp, var))
+            ok, p = _ac3(csp, child, seed=[i for i, _ in csp.into[var]])
             stats.passes += p
             if ok:
                 cur = child
@@ -202,25 +245,27 @@ def _first_solution(csp: _Csp) -> SolveOutcome:
 
 def _normalize_lists(source: TropicalGraph, target: TropicalGraph,
                      lists: Optional[Mapping]) -> list:
+    """One domain mask per source vertex; all target vertices without
+    lists."""
     if lists is None:
-        full = set(range(target.n))
-        return [set(full) for _ in range(source.n)]
+        return [(1 << target.n) - 1] * source.n
     doms = []
     for v in range(source.n):
         if v not in lists:
             raise InputError(f"vertex {v} has no list")
-        dom = set(lists[v])
-        for t in dom:
+        dom = 0
+        for t in set(lists[v]):
             if not 0 <= t < target.n:
                 raise InputError(f"list of vertex {v} mentions {t}, "
                                  f"out of range for the target")
+            dom |= 1 << t
         doms.append(dom)
     return doms
 
 
 def _undirected_csp(source: TropicalGraph, target: TropicalGraph,
                     doms) -> _Csp:
-    rel = target.adjacency
+    rel = _Supports.of(target.adjacency)
     cons = [[] for _ in range(source.n)]
     for u, v in source.edges:
         cons[u].append((v, rel))
@@ -270,9 +315,9 @@ def solve_trop_hom(source: TropicalGraph,
 
 def solve_digraph_hom(d1: Digraph, d2: Digraph) -> SolveOutcome:
     """Decide arc-preserving homomorphism between loopless digraphs."""
-    doms = [set(range(d2.n)) for _ in range(d1.n)]
-    out_rel = d2.out_adjacency
-    in_rel = d2.in_adjacency
+    doms = [(1 << d2.n) - 1] * d1.n
+    out_rel = _Supports.of(d2.out_adjacency)
+    in_rel = _Supports.of(d2.in_adjacency)
     cons = [[] for _ in range(d1.n)]
     for u, v in d1.arcs:
         cons[u].append((v, out_rel))
@@ -305,4 +350,6 @@ def ac_reduce(source: TropicalGraph, target: TropicalGraph,
     doms = _normalize_lists(source, target, lists)
     csp = _undirected_csp(source, target, doms)
     ok, _ = _ac3(csp, doms)
-    return doms if ok else None
+    if not ok:
+        return None
+    return [{t for t in range(target.n) if d >> t & 1} for d in doms]

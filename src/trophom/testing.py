@@ -21,6 +21,18 @@ def random_tropical(rng: random.Random, max_n: int,
     return tgraph(n, edges, colours)
 
 
+def random_of_degree(rng: random.Random, n: int, degree: float,
+                     colour="k") -> TropicalGraph:
+    """Monochromatic graph with round(degree * n / 2) distinct edges drawn
+    uniformly; degree 4.6 puts 3-colouring near its threshold."""
+    m = round(degree * n / 2)
+    edges: set = set()
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return tgraph(n, sorted(edges), [colour] * n)
+
+
 def random_bipartite(rng: random.Random, max_n: int, palette_a: Sequence,
                      palette_b: Optional[Sequence] = None,
                      edge_prob: float = 0.5) -> TropicalGraph:

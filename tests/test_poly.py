@@ -7,12 +7,14 @@ from trophom import (FeatureSet, InputError, PreconditionError, cycle_graph,
                      detect_features, dispatch_solve, forcing_vertices,
                      path_graph, plain, reduce_by_features, solve_2sat,
                      solve_all_forcing, solve_by_colour_pairs, solve_list_hom,
-                     solve_via_pairs, tgraph, two_sat, validate_hom)
+                     solve_trop_hom, solve_via_pairs, tgraph, two_sat,
+                     validate_hom)
 from trophom.gadgets import build_c48, build_h9
 from trophom import poly
 from trophom.poly import ROUTE_FALLBACK
+from trophom.graphs import connected_components
 from trophom.testing import (random_bipartite, random_forcing_tree,
-                             random_tropical)
+                             random_source, random_tropical)
 from trophom.verify import trop_hom_brute
 
 
@@ -411,3 +413,47 @@ class TestPlanCache:
         for k in range(poly._PLAN_CACHE + 5):
             dispatch_solve(src, path_graph([f"c{i}" for i in range(k + 1)]))
         assert poly._plan_dispatch.cache_info().currsize <= poly._PLAN_CACHE
+
+    def test_forcing_tables_built_once_per_plan(self, monkeypatch):
+        # The route check and every solve against the planned target share
+        # one build of the forcing tables.
+        builds, plans, solves = [], [], []
+
+        def counting(log, real):
+            def wrapper(*args):
+                log.append(args)
+                return real(*args)
+            return wrapper
+
+        for name, log in (("_forcing_tables", builds),
+                          ("_plan_target", plans),
+                          ("solve_all_forcing", solves)):
+            monkeypatch.setattr(poly, name, counting(log, getattr(poly, name)))
+        rng = random.Random(515)
+        targets = [random_forcing_tree(rng, 8) for _ in range(6)]
+        for _ in range(300):
+            target = rng.choice(targets)
+            dispatch_solve(random_source(rng, target), target)
+        assert builds and len(builds) <= len(plans) < len(solves)
+
+
+class TestDispatchStats:
+    # A connected 8-vertex core that is not bipartite, has colour classes
+    # of four and no unique feature: only the exact solver applies to it.
+    CORE8 = tgraph(8, [(0, 2), (0, 5), (0, 7), (1, 5), (1, 6), (1, 7),
+                       (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5),
+                       (5, 7)], list("bbbaabab"))
+
+    def test_fallback_nodes_are_the_solvers(self):
+        rng = random.Random(31)
+        searched = 0
+        for _ in range(120):
+            src = random_source(rng, self.CORE8, 12)
+            if len(connected_components(src)) != 1:
+                continue
+            out, report = dispatch_solve(src, self.CORE8)
+            assert report.route == (ROUTE_FALLBACK,)
+            direct = solve_trop_hom(src, self.CORE8)
+            assert out == direct
+            searched += direct.nodes > 0
+        assert searched > 20

@@ -7,7 +7,7 @@ from trophom import (InputError, ac_reduce, colour_lists, cycle_graph,
                      dgraph, enumerate_homs, plain, solve_digraph_hom,
                      solve_list_hom, solve_retraction, solve_trop_hom,
                      tgraph, validate_hom)
-from trophom.testing import random_tree, random_tropical
+from trophom.testing import random_of_degree, random_tree, random_tropical
 from trophom.verify import (list_hom_brute, list_homs,
                             naive_digraph_status, trop_hom_brute)
 
@@ -231,3 +231,65 @@ class TestArcConsistency:
             for m in found.maps:
                 for v in range(src.n):
                     assert m[v] in reduced[v]
+
+
+class TestEnginePin:
+    """Exact search records of fixed instances, taken from the set-based
+    engine that the bitmask engine replaced.  Any change to the revision
+    rule, the queue order, the branching rule or the value order shows up
+    here as a different witness, node count or revision count."""
+
+    K3 = plain(3, [(0, 1), (1, 2), (0, 2)], "k")
+
+    @pytest.mark.parametrize("seed, solvable, images, nodes, passes", [
+        (5, True, "022010111102021212220011200122", 10, 523),
+        (11, True, "021100100120020220021120211210", 7, 421),
+        (2, False, None, 141, 5592),
+        (6, False, None, 405, 14115),
+    ], ids=["seed5", "seed11", "seed2", "seed6"])
+    def test_three_colouring_at_threshold(self, seed, solvable, images,
+                                          nodes, passes):
+        src = random_of_degree(random.Random(seed), 30, 4.6)
+        out = solve_trop_hom(src, self.K3)
+        witness = None if images is None else \
+            {v: int(c) for v, c in enumerate(images)}
+        assert (out.solvable, out.witness, out.nodes, out.passes) == \
+            (solvable, witness, nodes, passes)
+
+    C6_SOURCE = plain(10, [(0, 3), (0, 4), (0, 8), (1, 7), (2, 3), (2, 5),
+                           (2, 7), (5, 9), (6, 9)])
+    C6_LISTS = {0: {0, 1, 2, 5}, 1: {0, 1, 3, 4, 5}, 2: {0, 1, 4, 5},
+                3: {0, 1, 4}, 4: {0, 1, 3, 4, 5}, 5: {0, 2}, 6: {2, 3, 4, 5},
+                7: {1, 2, 3, 4, 5}, 8: {0, 1, 4, 5}, 9: {0, 1, 2}}
+
+    def test_c6_list_instance(self):
+        c6 = plain(6, [(i, (i + 1) % 6) for i in range(6)])
+        out = solve_list_hom(self.C6_SOURCE, c6, self.C6_LISTS)
+        assert (out.solvable, out.witness, out.nodes, out.passes) == \
+            (True, dict(enumerate((1, 1, 1, 0, 0, 0, 2, 2, 0, 1))), 4, 34)
+
+    def test_c6_enumeration_with_limit(self):
+        c6 = plain(6, [(i, (i + 1) % 6) for i in range(6)])
+        found = enumerate_homs(self.C6_SOURCE, c6, self.C6_LISTS, limit=7)
+        images = [(1, 1, 1, 0, 0, 0, 2, 2, 0, 1),
+                  (1, 1, 1, 0, 0, 2, 2, 2, 0, 1),
+                  (1, 3, 1, 0, 0, 0, 2, 2, 0, 1),
+                  (1, 3, 1, 0, 0, 2, 2, 2, 0, 1),
+                  (1, 3, 5, 0, 0, 0, 2, 4, 0, 1),
+                  (1, 5, 5, 0, 0, 0, 2, 4, 0, 1),
+                  (5, 1, 1, 0, 0, 0, 2, 2, 0, 1)]
+        assert (found.maps, found.truncated, found.nodes) == \
+            (tuple(dict(enumerate(m)) for m in images), True, 16)
+
+    def test_digraph_with_two_cycles(self):
+        # The source 2-cycles 2 <-> 6 and 6 <-> 7 each put two relations
+        # on one ordered pair, which the engine merges.
+        d1 = dgraph(8, [(0, 2), (0, 4), (0, 5), (1, 6), (1, 7), (2, 6),
+                        (3, 5), (4, 1), (4, 3), (6, 2), (6, 5), (6, 7),
+                        (7, 6)])
+        d2 = dgraph(5, [(0, 1), (0, 2), (0, 4), (1, 0), (1, 3), (2, 1),
+                        (2, 3), (2, 4), (3, 2), (3, 4), (4, 0), (4, 1),
+                        (4, 2)])
+        out = solve_digraph_hom(d1, d2)
+        assert (out.solvable, out.witness, out.nodes, out.passes) == \
+            (True, dict(enumerate((0, 4, 1, 3, 2, 2, 0, 1))), 4, 57)
