@@ -4,6 +4,14 @@ The core is the unique (up to colour-preserving isomorphism) smallest
 induced subgraph the graph maps onto.  Everything here is exact and
 oracle-grade: retract search is exponential in the worst case and meant
 for targets up to a few dozen vertices, not for production-sized graphs.
+
+A retract search builds the colour-list endomorphism CSP g -> g once and
+tries to delete vertex v by clearing bit v in every root domain, so one
+network serves every vertex of a pass.  core never tries a vertex twice:
+if no endomorphism of G avoids v and e: G -> R is a retract, no
+endomorphism f of R avoids v either, or f∘e would be one of G.  So a core
+computation makes at most g.n attempts (Hell & Nešetřil, Graphs and
+Homomorphisms, ch. 2).
 """
 
 from __future__ import annotations
@@ -11,22 +19,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import TropicalGraph
-from .solver import colour_lists, solve_list_hom
+from .solver import (_first_solution, _normalize_lists, _undirected_csp,
+                     colour_lists)
+
+
+def _attempts(g: TropicalGraph, skip=frozenset()):
+    """Yield (v, endomorphism of g avoiding v, or None) for each vertex v
+    outside skip, ascending, all solved on one colour-list CSP g -> g.
+
+    The witness is the one the list solve into the induced subgraph g - v
+    finds: induced keeps ascending order, so the MRV ties and the value
+    order are the same.
+    """
+    todo = [v for v in range(g.n) if v not in skip]
+    if not todo:
+        return
+    csp = _undirected_csp(g, g)
+    doms = _normalize_lists(g, g, colour_lists(g, g))
+    for v in todo:
+        keep = ~(1 << v)
+        yield v, _first_solution(csp, [d & keep for d in doms]).witness
 
 
 def find_proper_retract(g: TropicalGraph):
     """A colour-preserving endomorphism of g with a strictly smaller image,
     or None when g is a core.
 
-    Tries each vertex-deleted induced subgraph as a landing zone, smallest
-    deleted index first.
+    Tries to avoid each vertex in turn, smallest index first, on one CSP
+    for the whole graph; the first endomorphism found is returned.
     """
-    for v in range(g.n):
-        keep = [u for u in range(g.n) if u != v]
-        sub, old = g.induced(keep)
-        out = solve_list_hom(g, sub, colour_lists(g, sub))
-        if out.solvable:
-            return {u: old[out.witness[u]] for u in range(g.n)}
+    for _, retract in _attempts(g):
+        if retract is not None:
+            return retract
     return None
 
 
@@ -44,13 +68,24 @@ class CoreResult:
 
 
 def core(g: TropicalGraph) -> CoreResult:
-    """Retract repeatedly until no proper retract remains."""
+    """Retract repeatedly until no proper retract remains.
+
+    Each pass runs one CSP on the current graph, in the order of
+    find_proper_retract, but skips the vertices that failed in an earlier
+    pass: no retract can make them avoidable, so every vertex of g is
+    tried at most once and the result is find_proper_retract's fixpoint.
+    """
     current = g
     retained = tuple(range(g.n))
     hom = {v: v for v in range(g.n)}
+    failed = set()             # original indices no endomorphism avoids
     while True:
-        retract = find_proper_retract(current)
-        if retract is None:
+        skip = {v for v, o in enumerate(retained) if o in failed}
+        for v, retract in _attempts(current, skip):
+            if retract is not None:
+                break
+            failed.add(retained[v])
+        else:
             return CoreResult(current, retained, hom)
         image = sorted(set(retract.values()))
         assert len(image) < current.n, "retract must shrink the image"

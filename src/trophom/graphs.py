@@ -241,7 +241,8 @@ def connected_components(g: TropicalGraph) -> list:
     """Maximal connected induced subgraphs, each with its new->old index map.
 
     Components are emitted in order of their smallest vertex; vertex order
-    within a component follows the original indices.
+    within a component follows the original indices.  A connected graph
+    is its own component, with the identity map.
     """
     seen = [False] * g.n
     out = []
@@ -258,6 +259,8 @@ def connected_components(g: TropicalGraph) -> list:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
+        if len(comp) == g.n:
+            return [(g, tuple(range(g.n)))]
         out.append(g.induced(comp))
     return out
 

@@ -494,7 +494,12 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
     Returns the surviving instance over the pruned target, or None when a
     list empties along the way, which proves the instance unsolvable.
     """
-    _validate_features(target, s)
+    # The last set validated against this target is kept on it, like
+    # its forcing tables: the dispatcher reduces every source component
+    # and split variant with the same planned set.
+    if target.__dict__.get("_valid_features") != s:
+        _validate_features(target, s)
+        object.__setattr__(target, "_valid_features", s)
     classes = target.colour_classes()
 
     alive = [True] * source.n

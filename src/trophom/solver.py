@@ -19,6 +19,10 @@ a dict from the mask of the partner's domain to the mask of values that
 have a compatible value in it, filled on a miss and dropped with the CSP.
 There is no undo trail: at these sizes copying the domain list is one
 C-level slice.
+
+A _Csp is the constraint network only; the root domains are passed to
+each search, so one network (and its support memo) serves many domain
+vectors, as when the core search tries every vertex of one graph.
 """
 
 from __future__ import annotations
@@ -91,25 +95,25 @@ def _mask(values) -> int:
 
 
 class _Csp:
-    """Binary CSP over dense integer variables and bitmask domains.
+    """Binary constraint network over dense integer variables.
 
-    domains[u] is an int whose bit a is set when value a is allowed.
-    cons[u] lists (v, rel) pairs with rel a _Supports; arcs that share a
-    relation object share its memo.  Constraints are stored in both
-    directions, and several relations on the same ordered pair (a digraph
-    2-cycle, say) are merged by intersection since one joint assignment
-    must satisfy them all.
+    A search takes the domains separately: entry u of its list is an int
+    whose bit a is set when value a is allowed for u.  cons[u] lists
+    (v, rel) pairs with rel a _Supports; arcs that share a relation object
+    share its memo.  Constraints are stored in both directions, and
+    several relations on the same ordered pair (a digraph 2-cycle, say)
+    are merged by intersection since one joint assignment must satisfy
+    them all.
 
     Each ordered pair becomes an arc id: arcs[i] is (u, v, rel), in order
     of u and then v, and into[v] lists (i, u) for the arcs whose support
     lies in v, i.e. the arcs to re-examine when v's domain shrinks.
     """
 
-    __slots__ = ("n", "domains", "arcs", "into")
+    __slots__ = ("n", "arcs", "into")
 
-    def __init__(self, n: int, domains, cons):
+    def __init__(self, n: int, cons):
         self.n = n
-        self.domains = domains
         arcs = []
         into = [[] for _ in range(n)]
         for u, pairs in enumerate(cons):
@@ -189,14 +193,15 @@ class _Counts:
         self.nodes = self.passes = 0
 
 
-def _search(csp: _Csp, pick, stats: _Counts) -> Iterator[dict]:
-    """Iterative depth-first search with maintained arc consistency.
+def _search(csp: _Csp, doms, pick, stats: _Counts) -> Iterator[dict]:
+    """Iterative depth-first search with maintained arc consistency from
+    the root domains doms (copied, never changed).
 
     Yields every solution once, in the order the branching rule pick
     (a variable, or None when all domains are singletons) and ascending
     values give; the caller stops pulling when it has what it needs.
     """
-    root = list(csp.domains)
+    root = list(doms)
     if not all(root):
         return
     ok, p = _ac3(csp, root)
@@ -235,10 +240,10 @@ def _search(csp: _Csp, pick, stats: _Counts) -> Iterator[dict]:
             return
 
 
-def _first_solution(csp: _Csp) -> SolveOutcome:
+def _first_solution(csp: _Csp, doms) -> SolveOutcome:
     """Decide by the first solution in minimum-remaining-values order."""
     stats = _Counts()
-    witness = next(_search(csp, _pick_mrv, stats), None)
+    witness = next(_search(csp, doms, _pick_mrv, stats), None)
     return SolveOutcome(witness is not None, witness, stats.nodes,
                         stats.passes)
 
@@ -263,14 +268,13 @@ def _normalize_lists(source: TropicalGraph, target: TropicalGraph,
     return doms
 
 
-def _undirected_csp(source: TropicalGraph, target: TropicalGraph,
-                    doms) -> _Csp:
+def _undirected_csp(source: TropicalGraph, target: TropicalGraph) -> _Csp:
     rel = _Supports.of(target.adjacency)
     cons = [[] for _ in range(source.n)]
     for u, v in source.edges:
         cons[u].append((v, rel))
         cons[v].append((u, rel))
-    return _Csp(source.n, doms, cons)
+    return _Csp(source.n, cons)
 
 
 def colour_lists(source: TropicalGraph, target: TropicalGraph) -> dict:
@@ -286,7 +290,7 @@ def solve_list_hom(source: TropicalGraph, target: TropicalGraph,
                    lists: Optional[Mapping] = None) -> SolveOutcome:
     """Decide list homomorphism; exhaustive, deterministic witness."""
     doms = _normalize_lists(source, target, lists)
-    return _first_solution(_undirected_csp(source, target, doms))
+    return _first_solution(_undirected_csp(source, target), doms)
 
 
 def enumerate_homs(source: TropicalGraph, target: TropicalGraph,
@@ -298,7 +302,7 @@ def enumerate_homs(source: TropicalGraph, target: TropicalGraph,
         raise InputError("limit must be at least 1")
     doms = _normalize_lists(source, target, lists)
     stats = _Counts()
-    sols = _search(_undirected_csp(source, target, doms), _pick_static,
+    sols = _search(_undirected_csp(source, target), doms, _pick_static,
                    stats)
     # One solution past the limit, if the search finds it, proves that
     # the listing is truncated.
@@ -322,7 +326,7 @@ def solve_digraph_hom(d1: Digraph, d2: Digraph) -> SolveOutcome:
     for u, v in d1.arcs:
         cons[u].append((v, out_rel))
         cons[v].append((u, in_rel))
-    return _first_solution(_Csp(d1.n, doms, cons))
+    return _first_solution(_Csp(d1.n, cons), doms)
 
 
 def solve_retraction(host: TropicalGraph, target: TropicalGraph,
@@ -348,8 +352,7 @@ def ac_reduce(source: TropicalGraph, target: TropicalGraph,
               lists: Optional[Mapping] = None) -> Optional[list]:
     """Arc-consistent closure of the lists; None when a domain empties."""
     doms = _normalize_lists(source, target, lists)
-    csp = _undirected_csp(source, target, doms)
-    ok, _ = _ac3(csp, doms)
+    ok, _ = _ac3(_undirected_csp(source, target), doms)
     if not ok:
         return None
     return [{t for t in range(target.n) if d >> t & 1} for d in doms]

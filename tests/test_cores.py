@@ -1,8 +1,10 @@
 import random
 
 from trophom import (core, cycle_graph, find_proper_retract, is_core,
-                     iso_check, path_graph, plain, solve_trop_hom, tgraph,
-                     validate_hom)
+                     iso_check, path_graph, plain, solve_list_hom,
+                     solve_trop_hom, tgraph, validate_hom)
+from trophom import cores
+from trophom.solver import colour_lists
 from trophom.gadgets import build_c48, build_h9
 from trophom.testing import random_tropical
 from trophom.verify import list_homs, trop_hom_brute
@@ -14,6 +16,41 @@ def min_endomorphism_image(g):
     classes = g.colour_classes()
     lists = {v: classes[g.colours[v]] for v in range(g.n)}
     return min(len(set(h.values())) for h in list_homs(g, g, lists))
+
+
+def per_subgraph_retract(g):
+    """The retract search as one list solve per vertex-deleted induced
+    subgraph, mapped back through the subgraph's index map."""
+    for v in range(g.n):
+        sub, old = g.induced([u for u in range(g.n) if u != v])
+        out = solve_list_hom(g, sub, colour_lists(g, sub))
+        if out.solvable:
+            return {u: old[out.witness[u]] for u in range(g.n)}
+    return None
+
+
+def per_subgraph_core(g):
+    """(graph, retained, hom) by restarting that search after every
+    retract."""
+    current, retained = g, tuple(range(g.n))
+    hom = {v: v for v in range(g.n)}
+    while True:
+        retract = per_subgraph_retract(current)
+        if retract is None:
+            return current, retained, hom
+        current, old = current.induced(sorted(set(retract.values())))
+        pos = {o: i for i, o in enumerate(old)}
+        retained = tuple(retained[o] for o in old)
+        hom = {v: pos[retract[cur]] for v, cur in hom.items()}
+
+
+def seeded_graphs(seed, count):
+    """Orders 1-9 over one to three colours, sparse to dense."""
+    rng = random.Random(seed)
+    palettes = (["a"], ["a", "b"], ["a", "b", "c"])
+    for _ in range(count):
+        yield random_tropical(rng, 9, rng.choice(palettes),
+                              edge_prob=rng.choice((0.2, 0.35, 0.5)))
 
 
 class TestFindProperRetract:
@@ -33,6 +70,18 @@ class TestFindProperRetract:
         assert min_endomorphism_image(g) == 2
         h = find_proper_retract(g)
         assert h is not None and validate_hom(g, g, h)
+
+    def test_matches_per_subgraph_search(self):
+        for g in seeded_graphs(203, 200):
+            want = per_subgraph_retract(g)
+            got = find_proper_retract(g)
+            assert got == want
+            assert got is None or list(got.items()) == list(want.items())
+            graph, retained, hom = per_subgraph_core(g)
+            result = core(g)
+            assert result.graph == graph
+            assert result.retained == retained
+            assert list(result.hom.items()) == list(hom.items())
 
 
 class TestCore:
@@ -90,6 +139,25 @@ class TestCore:
             relabelled = tgraph(g.n, [(order[u], order[v])
                                       for u, v in g.edges], colours)
             assert iso_check(core(g).graph, core(relabelled).graph)
+
+    def test_retract_attempts_at_most_order(self, monkeypatch):
+        attempts = []
+        solve = cores._first_solution
+
+        def counted(csp, doms):
+            attempts.append(1)
+            return solve(csp, doms)
+
+        monkeypatch.setattr(cores, "_first_solution", counted)
+        graphs = [cycle_graph(["Black", "White"] * 3)]
+        graphs += seeded_graphs(204, 150)
+        most = 0
+        for g in graphs:
+            attempts.clear()
+            core(g)
+            assert len(attempts) <= g.n
+            most = max(most, len(attempts))
+        assert most > 1  # the counter sees core's solves
 
     def test_solvability_transfer(self):
         rng = random.Random(102)

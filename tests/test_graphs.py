@@ -97,6 +97,19 @@ class TestComponents:
         assert len(comps) == 1
         assert comps[0][0] == g
 
+    def test_connected_graph_comes_back_as_itself(self):
+        g = path_graph(["a", "b", "a", "c"])
+        [(comp, old)] = connected_components(g)
+        assert comp is g
+        assert old == (0, 1, 2, 3)
+
+    def test_disconnected_components_are_induced_in_order(self):
+        g = tgraph(6, [(0, 4), (2, 4), (1, 3)], list("abcabc"))
+        comps = connected_components(g)
+        assert [old for _, old in comps] == [(0, 2, 4), (1, 3), (5,)]
+        for comp, old in comps:
+            assert comp == g.induced(old)[0]
+
     def test_empty_graph(self):
         assert connected_components(plain(0, [])) == []
 

@@ -256,6 +256,31 @@ class TestReduceByFeatures:
         with pytest.raises(InputError):
             reduce_by_features(src, target, features)
 
+    def test_invalid_set_raises_after_a_valid_one(self):
+        g = path_graph(["R", "B", "G"])
+        src = plain(1, [], colour="R")
+        assert reduce_by_features(src, g, FeatureSet(type1=frozenset({0})))
+        with pytest.raises(InputError):
+            reduce_by_features(src, g, FeatureSet(type3=frozenset({1})))
+        assert reduce_by_features(src, g, FeatureSet(type1=frozenset({0})))
+
+    def test_planned_set_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = poly._validate_features
+
+        def counted(target, s):
+            calls.append(target)
+            return validate(target, s)
+
+        monkeypatch.setattr(poly, "_validate_features", counted)
+        h9 = build_h9().graph
+        s = FeatureSet(type1=detect_features(h9).type1)
+        rng = random.Random(32)
+        for _ in range(20):
+            src = random_tropical(rng, 6, ["Black", "Red", "Green"])
+            reduce_by_features(src, h9, s)
+        assert len(calls) == 1
+
     def test_empty_set_is_identity(self):
         g = cycle_graph(["R", "B"] * 3)
         src = path_graph(["R", "B", "R"])
