@@ -9,6 +9,11 @@ marked (Red) interior vertex sits strictly closer to one end, which gives
 the piece an orientation; a Q-piece has the mark equidistant from both
 ends and is symmetric.  Arrows in the construction comments mean P-pieces,
 plain dashes mean Q-pieces.
+
+The palettes are one table, _TOKENS: the tokens a Green corner, a Blue
+corner, the mark and a plain vertex wear in each palette.  Every builder
+reads its tokens there, and the base arc length and the smallest cycle
+half-order follow from the palette's mark count.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from .graphs import (Colour, Digraph, InputError, TropicalGraph,
                      bipartition, check_embedding, connected_components,
-                     tgraph)
+                     path_graph, tgraph)
 
 
 @dataclass(frozen=True)
@@ -146,50 +151,47 @@ def tropicalize_digraph(d: Digraph) -> TropicalGraph:
 # P- and Q-pieces and the long-cycle target
 
 
-PALETTES = ("four", "three", "two")
+# palette -> (corner tokens for "G"/"B", mark tuple, plain token).  The
+# three-colour palette paints marks Blue; the experimental two-colour
+# palette tells marked from plain only: corners wear the mark token, and
+# the mark is doubled (one copy per side).
+_TOKENS = {
+    "four": ({"G": "G", "B": "B"}, ("R",), "Y"),
+    "three": ({"G": "G", "B": "B"}, ("B",), "Y"),
+    "two": ({"G": "m", "B": "m"}, ("m", "m"), "y"),
+}
+PALETTES = tuple(_TOKENS)
 
 
-def _mark_colour(palette: str) -> Colour:
-    # Remark-style variants: the three-colour palette paints marks Blue,
-    # the experimental two-colour palette distinguishes marked/plain only.
-    if palette == "four":
-        return "R"
-    if palette == "three":
-        return "B"
-    return "m"
+def _tokens(palette: str) -> tuple:
+    try:
+        return _TOKENS[palette]
+    except KeyError:
+        raise InputError(f"unknown palette {palette!r}") from None
 
 
 def _pq_colours(kind: str, start: Colour, end: Colour, palette: str,
                 extra: int = 0) -> list:
-    """Colour sequence of a P- or Q-piece.
+    """Colour sequence of a P- or Q-piece between corners start and end
+    ("G"/"B", painted in the palette's corner tokens).
 
     P keeps its mark at distance 5 + extra from the start and 3 from the
     end, so lengthening preserves the asymmetry; Q splits the extra evenly
-    and stays symmetric (extra must be even for Q).  The two-colour palette
-    doubles the mark (one copy per side) and then identifies {G, B, mark}
-    as 'm' and Yellow as 'y'.
+    and stays symmetric (extra must be even for Q).
     """
-    if palette not in PALETTES:
-        raise InputError(f"unknown palette {palette!r}")
+    corner, marks, plain = _tokens(palette)
     if kind not in ("P", "Q"):
         raise InputError(f"unknown path kind {kind!r}")
     if {start, end} != {"G", "B"}:
         raise InputError("piece ends must be one Green and one Blue")
     if extra < 0 or extra % 2:
         raise InputError("length extension must be even and nonnegative")
-    mark = _mark_colour(palette)
-    if palette == "two":
-        marks = [mark, mark]
-    else:
-        marks = [mark]
     if kind == "P":
-        seq = [start] + ["Y"] * (4 + extra) + marks + ["Y"] * 2 + [end]
+        before, after = 4 + extra, 2
     else:
-        half = 4 + extra // 2
-        seq = [start] + ["Y"] * half + marks + ["Y"] * half + [end]
-    if palette == "two":
-        seq = ["m" if c in ("G", "B", "m") else "y" for c in seq]
-    return seq
+        before = after = 4 + extra // 2
+    return ([corner[start]] + [plain] * before + list(marks)
+            + [plain] * after + [corner[end]])
 
 
 def build_pq_path(kind: str, start_colour: Colour, end_colour: Colour,
@@ -204,13 +206,14 @@ def build_pq_path(kind: str, start_colour: Colour, end_colour: Colour,
 
 
 def _base_arc_length(palette: str) -> int:
-    return 9 if palette == "two" else 8
+    # an unlengthened P-piece: corner, four plain, the marks, two plain, corner
+    return 7 + len(_tokens(palette)[1])
 
 
 def _min_half_order(palette: str) -> int:
     # Smallest k with C_{2k} expressible as six equal arcs of the base
-    # length: 24 for the standard palettes, 27 for the two-colour variant.
-    return 27 if palette == "two" else 24
+    # length: 24 for the one-mark palettes, 27 for the two-colour variant.
+    return 3 * _base_arc_length(palette)
 
 
 # Order in which pairs of extra vertices land on the six cycle arcs.  The
@@ -242,17 +245,14 @@ def build_c48(palette: str = "four", k: Optional[int] = None) -> GadgetGraph:
     oriented P-pieces, every corner arc pointing forward around the cycle.
     k defaults to the smallest half-order the palette allows."""
     extras = _arc_extras(palette, k)
+    corner = _tokens(palette)[0]
     b = _Builder()
-    corner_colour = {"g": "G", "b": "B"} if palette != "two" else \
-        {"g": "m", "b": "m"}
-    corners = [b.add(corner_colour[name[0]], name=name)
+    corners = [b.add(corner[name[0].upper()], name=name)
                for name in _CYCLE_NAMES]
     for i in range(6):
-        u = corners[i]
-        v = corners[(i + 1) % 6]
-        seq = _pq_colours("P", "G" if i % 2 == 0 else "B",
-                          "B" if i % 2 == 0 else "G", palette, extras[i])
-        b.weave(seq, start=u, end=v)
+        ends = ("G", "B") if i % 2 == 0 else ("B", "G")
+        b.weave(_pq_colours("P", *ends, palette, extras[i]),
+                start=corners[i], end=corners[(i + 1) % 6])
     out = b.build()
     # extras add 2 vertices per unit of half-order above the minimum
     assert out.graph.n == 2 * _min_half_order(palette) + sum(extras)
@@ -272,24 +272,19 @@ def build_pair_gadget(i: int, j: int, palette: str = "four",
     onto its first two arcs (rho); those are the only options once U_G is
     pinned, which is what encodes 'same part or different parts'.
     """
-    extras = _arc_extras(palette, k)
-    b = _Builder()
-    ug = b.add("G" if palette != "two" else "m", name="U_G")
-    _weave_pair(b, ug, i, j, palette, extras)
-    return b.build()
+    return _c48_instance([(i, j)], (), (), palette, k)
 
 
 def _weave_pair(b: _Builder, ug: int, i: int, j: int, palette: str,
                 extras: list):
     """Add the pair gadget of {i, j} to b around the existing vertex ug."""
-    gc = "G" if palette != "two" else "m"
-    bc = "B" if palette != "two" else "m"
+    corner = _tokens(palette)[0]
     lab = _pair_label(i, j)
-    b0 = b.add(bc, name=f"b0_{lab}")
-    g1 = b.add(gc, name=f"g1_{lab}")
-    b1 = b.add(bc, name=f"b1_{lab}")
-    g2 = b.add(gc, name=f"g2_{lab}")
-    b2 = b.add(bc, name=f"b2_{lab}")
+    b0 = b.add(corner["B"], name=f"b0_{lab}")
+    g1 = b.add(corner["G"], name=f"g1_{lab}")
+    b1 = b.add(corner["B"], name=f"b1_{lab}")
+    g2 = b.add(corner["G"], name=f"g2_{lab}")
+    b2 = b.add(corner["B"], name=f"b2_{lab}")
     # A Q-piece reaches its mark after half its length, so to fold into a
     # lengthened arc that half must dominate the arc extras of both its
     # around-the-cycle and its folded image and keep their (even) parity:
@@ -317,11 +312,10 @@ def _connector_tree(b: _Builder, beta1: int, beta2: int, beta3: int,
     """Tree gluing one b1-corner to two b2-corners of sibling pairs:
     beta1 -Q- gamma0 -Q- beta2, with gamma1 -P> beta0 -P> gamma0 hanging
     off the centre and beta3 -Q- gamma1."""
-    gc = "G" if palette != "two" else "m"
-    bc = "B" if palette != "two" else "m"
-    gamma0 = b.add(gc, name=f"t{tag}_g0")
-    beta0 = b.add(bc, name=f"t{tag}_b0")
-    gamma1 = b.add(gc, name=f"t{tag}_g1")
+    corner = _tokens(palette)[0]
+    gamma0 = b.add(corner["G"], name=f"t{tag}_g0")
+    beta0 = b.add(corner["B"], name=f"t{tag}_b0")
+    gamma1 = b.add(corner["G"], name=f"t{tag}_g1")
     b.weave(_pq_colours("Q", "B", "G", palette, 2 * emax),
             start=beta1, end=gamma0)
     b.weave(_pq_colours("Q", "G", "B", palette, 2 * emax),
@@ -336,13 +330,8 @@ def build_triple_gadget(p: int, q: int, r: int, palette: str = "four",
                         k: Optional[int] = None) -> GadgetGraph:
     """Three pair gadgets on {p,q,r} plus the three connector trees that
     force an odd number of them to fold."""
-    extras = _arc_extras(palette, k)
-    b = _Builder()
-    ug = b.add("G" if palette != "two" else "m", name="U_G")
-    for i, j in ((p, q), (p, r), (q, r)):
-        _weave_pair(b, ug, i, j, palette, extras)
-    _wire_triple(b, p, q, r, palette, max(extras))
-    return b.build()
+    return _c48_instance([(p, q), (p, r), (q, r)], [(p, q, r)], (),
+                         palette, k)
 
 
 def _wire_triple(b: _Builder, p: int, q: int, r: int, palette: str,
@@ -367,40 +356,45 @@ def nae3sat_to_c48(f: NaeFormula, palette: str = "four",
     blocking path b1 of {l1,l2} -P> G -P> B -P> G -Q- b2 of {l2,l3} that
     rules out folding all three clause pairs at once.
     """
+    return _c48_instance(list(combinations(range(f.n_vars), 2)),
+                         list(combinations(range(f.n_vars), 3)),
+                         f.clauses, palette, k)
+
+
+def _c48_instance(pairs: Sequence, triples: Sequence, clauses: Sequence,
+                  palette: str, k: Optional[int]) -> GadgetGraph:
+    """One shared U_G, the pair gadgets, three connector trees per triple
+    and a blocking path per clause, added in that order."""
     extras = _arc_extras(palette, k)
     emax = max(extras)
+    corner = _tokens(palette)[0]
     b = _Builder()
-    gc = "G" if palette != "two" else "m"
-    bc = "B" if palette != "two" else "m"
-    ug = b.add(gc, name="U_G")
-    for i, j in combinations(range(f.n_vars), 2):
+    ug = b.add(corner["G"], name="U_G")
+    for i, j in pairs:
         _weave_pair(b, ug, i, j, palette, extras)
-    for p, q, r in combinations(range(f.n_vars), 3):
+    for p, q, r in triples:
         _wire_triple(b, p, q, r, palette, emax)
-    for ci, (l1, l2, l3) in enumerate(f.clauses):
+    for ci, (l1, l2, l3) in enumerate(clauses):
         left = b.names[f"b1_{_pair_label(l1, l2)}"]
         right = b.names[f"b2_{_pair_label(l2, l3)}"]
-        ga = b.add(gc, name=f"c{ci}_g0")
-        bb = b.add(bc, name=f"c{ci}_b0")
-        gcv = b.add(gc, name=f"c{ci}_g1")
+        ga = b.add(corner["G"], name=f"c{ci}_g0")
+        bb = b.add(corner["B"], name=f"c{ci}_b0")
+        gc = b.add(corner["G"], name=f"c{ci}_g1")
         b.weave(_pq_colours("P", "B", "G", palette, emax), start=left, end=ga)
         b.weave(_pq_colours("P", "G", "B", palette, emax), start=ga, end=bb)
-        b.weave(_pq_colours("P", "B", "G", palette, emax), start=bb, end=gcv)
+        b.weave(_pq_colours("P", "B", "G", palette, emax), start=bb, end=gc)
         b.weave(_pq_colours("Q", "G", "B", palette, 2 * emax),
-                start=gcv, end=right)
+                start=gc, end=right)
     out = b.build()
 
-    v = f.n_vars
-    n_pairs = v * (v - 1) // 2
-    n_triples = v * (v - 1) * (v - 2) // 6
     base = _base_arc_length(palette)
     # internals per piece: P holds base-1+extra vertices, Q holds base+1+extra
     per_pair = (5 + 3 * (base - 1) + extras[0] + extras[1] + extras[3]
                 + 3 * (base + 1) + sum(_pair_q_extras(extras)))
     per_tree = 3 + 2 * (base - 1 + emax) + 3 * (base + 1 + 2 * emax)
     per_clause = 3 + 3 * (base - 1 + emax) + (base + 1 + 2 * emax)
-    expected = (1 + n_pairs * per_pair + n_triples * 3 * per_tree
-                + len(f.clauses) * per_clause)
+    expected = (1 + len(pairs) * per_pair + len(triples) * 3 * per_tree
+                + len(clauses) * per_clause)
     assert out.graph.n == expected, (out.graph.n, expected)
     return out
 
@@ -428,25 +422,23 @@ def build_h9() -> GadgetGraph:
 
 
 # Gadget catalogue keyed by the list contents over cycle labels 1..6.
-# Each entry describes pendant paths: a sequence of colour strings, attached
-# to the source copy at the path's first vertex.
+# Each entry lists pendant paths as (colour strings, attach position): the
+# path's vertex at that position is joined to the source copy.
 _H9_GADGETS = {
-    frozenset({1}): (("Red",),),
-    frozenset({3}): (("Green",),),
-    frozenset({5}): (("Yellow",),),
-    frozenset({2}): (("Black", "Red"), ("Black", "Green")),
-    frozenset({4}): (("Black", "Green"), ("Black", "Yellow")),
-    frozenset({6}): (("Black", "Yellow"), ("Black", "Red")),
-    frozenset({2, 4}): (("Black", "Green"),),
-    frozenset({4, 6}): (("Black", "Yellow"),),
-    frozenset({2, 6}): (("Black", "Red"),),
-    frozenset({1, 3}): ("MIDDLE", ("Red", "Black", "Black", "Black", "Green")),
-    frozenset({3, 5}): ("MIDDLE",
-                        ("Green", "Black", "Black", "Black", "Yellow")),
-    frozenset({1, 5}): ("MIDDLE",
-                        ("Yellow", "Black", "Black", "Black", "Red")),
-    frozenset({1, 3, 5}): (("Black", "Black", "Red"),),
-    frozenset({2, 4, 6}): (("Black", "Black", "Black", "Red"),),
+    frozenset({1}): ((("Red",), 0),),
+    frozenset({3}): ((("Green",), 0),),
+    frozenset({5}): ((("Yellow",), 0),),
+    frozenset({2}): ((("Black", "Red"), 0), (("Black", "Green"), 0)),
+    frozenset({4}): ((("Black", "Green"), 0), (("Black", "Yellow"), 0)),
+    frozenset({6}): ((("Black", "Yellow"), 0), (("Black", "Red"), 0)),
+    frozenset({2, 4}): ((("Black", "Green"), 0),),
+    frozenset({4, 6}): ((("Black", "Yellow"), 0),),
+    frozenset({2, 6}): ((("Black", "Red"), 0),),
+    frozenset({1, 3}): ((("Red", "Black", "Black", "Black", "Green"), 2),),
+    frozenset({3, 5}): ((("Green", "Black", "Black", "Black", "Yellow"), 2),),
+    frozenset({1, 5}): ((("Yellow", "Black", "Black", "Black", "Red"), 2),),
+    frozenset({1, 3, 5}): ((("Black", "Black", "Red"), 0),),
+    frozenset({2, 4, 6}): ((("Black", "Black", "Black", "Red"), 0),),
 }
 
 
@@ -475,14 +467,8 @@ def c6_listhom_to_h9(source: TropicalGraph, lists: Mapping) -> GadgetGraph:
         if spec is None:
             raise InputError(
                 f"list {sorted(lst)} of vertex {v} has no gadget shape")
-        if spec[0] == "MIDDLE":
-            colours = spec[1]
-            idxs = b.weave(colours)
-            b.edge(idxs[len(idxs) // 2], copies[v])
-        else:
-            for colours in spec:
-                idxs = b.weave(colours)
-                b.edge(idxs[0], copies[v])
+        for colours, pos in spec:
+            b.edge(b.weave(colours)[pos], copies[v])
     return b.build()
 
 
@@ -490,14 +476,14 @@ def c6_listhom_to_h9(source: TropicalGraph, lists: Mapping) -> GadgetGraph:
 # zig-zag pieces for the retraction-to-2-colours step
 
 
-def _runs_colours(n_runs: int, last: Colour, short_at: Optional[int]) -> list:
-    """White endpoint run, alternating interior runs of length four (the
+def _runs_colours(n_runs: int, last: Colour, short_at: Optional[int],
+                  run: int = 4) -> list:
+    """White endpoint run, alternating interior runs of length run (the
     short_at-th interior run, if any, has length two), then the last run."""
     seq = ["W"]
     colour = "B"
     for t in range(1, n_runs - 1):
-        ln = 2 if t == short_at else 4
-        seq.extend([colour] * ln)
+        seq.extend([colour] * (2 if t == short_at else run))
         colour = "W" if colour == "B" else "B"
     seq.append(last)
     return seq
@@ -510,8 +496,7 @@ def zigzag_p(l: int, i: Optional[int] = None) -> TropicalGraph:
         raise InputError("l must be odd and at least 3")
     if i is not None and not 1 <= i <= l - 2:
         raise InputError(f"i must lie in 1..{l - 2}")
-    seq = _runs_colours(l, "W", i)
-    return tgraph(len(seq), [(a, a + 1) for a in range(len(seq) - 1)], seq)
+    return path_graph(_runs_colours(l, "W", i))
 
 
 def zigzag_q(k: int, j: Optional[int] = None) -> TropicalGraph:
@@ -521,20 +506,13 @@ def zigzag_q(k: int, j: Optional[int] = None) -> TropicalGraph:
         raise InputError("k must be even and at least 4")
     if j is not None and not 1 <= j <= k - 2:
         raise InputError(f"j must lie in 1..{k - 2}")
-    seq = _runs_colours(k, "B", j)
-    return tgraph(len(seq), [(a, a + 1) for a in range(len(seq) - 1)], seq)
+    return path_graph(_runs_colours(k, "B", j))
 
 
 def forcing_path(m: int, last: Colour) -> TropicalGraph:
     """Two-colour forcing path: single-W run, m - 2 interior runs of length
     two, and a final run of length one coloured `last`."""
-    seq = ["W"]
-    colour = "B"
-    for _ in range(m - 2):
-        seq.extend([colour] * 2)
-        colour = "W" if colour == "B" else "B"
-    seq.append(last)
-    return tgraph(len(seq), [(a, a + 1) for a in range(len(seq) - 1)], seq)
+    return path_graph(_runs_colours(m, last, None, run=2))
 
 
 def zigzag_parameters(n_a: int, n_b: int) -> tuple:
@@ -545,15 +523,30 @@ def zigzag_parameters(n_a: int, n_b: int) -> tuple:
     return max(l, 3), max(k, 4)
 
 
-def _attach_path(b: _Builder, colours: Sequence[Colour], anchor: int,
-                 anchor_pos: int):
-    """Weave a path identifying colours[anchor_pos] with an existing vertex."""
-    if anchor_pos == len(colours) - 1:
-        b.weave(colours, end=anchor)
-    elif anchor_pos == 0:
-        b.weave(colours, start=anchor)
-    else:
-        raise InputError("anchor must be a path end")
+def _zigzag_sides(h: TropicalGraph) -> tuple:
+    """(side A, side B, l, k) of the bipartite graph h, sides sorted."""
+    bip = bipartition(h)
+    if bip is None:
+        raise InputError("h must be bipartite")
+    side_a, side_b = sorted(bip.part_a), sorted(bip.part_b)
+    return (side_a, side_b) + zigzag_parameters(len(side_a), len(side_b))
+
+
+def _white_with_tails(g: TropicalGraph, prefix: str, tails_a: Sequence,
+                      tails_b: Sequence, l: int, k: int) -> _Builder:
+    """An all-White copy of g (vertex v named prefix + v) with a P_i tail
+    glued at its rightmost vertex to tails_a[i - 1] and a Q_j tail glued at
+    its leftmost vertex to tails_b[j - 1]."""
+    b = _Builder()
+    for v in range(g.n):
+        b.add("W", name=f"{prefix}{v}")
+    for u, v in sorted(g.edges):
+        b.edge(u, v)
+    for i, a in enumerate(tails_a, start=1):
+        b.weave(_runs_colours(l, "W", i), end=a)
+    for j, bb in enumerate(tails_b, start=1):
+        b.weave(_runs_colours(k, "B", j), start=bb)
+    return b
 
 
 def build_zigzag_gadget(h: TropicalGraph) -> GadgetGraph:
@@ -562,24 +555,12 @@ def build_zigzag_gadget(h: TropicalGraph) -> GadgetGraph:
     vertex turns White, side-A vertex number i gets a P_i tail glued at its
     rightmost vertex, side-B vertex number j a Q_j tail glued at its
     leftmost vertex."""
-    bip = bipartition(h)
-    if bip is None:
-        raise InputError("h must be bipartite")
-    side_a, side_b = sorted(bip.part_a), sorted(bip.part_b)
-    l, k = zigzag_parameters(len(side_a), len(side_b))
-    b = _Builder()
-    for v in range(h.n):
-        b.add("W", name=f"h{v}")
-    for u, v in sorted(h.edges):
-        b.edge(u, v)
+    side_a, side_b, l, k = _zigzag_sides(h)
+    b = _white_with_tails(h, "h", side_a, side_b, l, k)
     for i, a in enumerate(side_a, start=1):
-        colours = _runs_colours(l, "W", i)
-        _attach_path(b, colours, b.names[f"h{a}"], len(colours) - 1)
-        b.names[f"a{i}"] = b.names[f"h{a}"]
+        b.names[f"a{i}"] = a
     for j, bb in enumerate(side_b, start=1):
-        colours = _runs_colours(k, "B", j)
-        _attach_path(b, colours, b.names[f"h{bb}"], 0)
-        b.names[f"b{j}"] = b.names[f"h{bb}"]
+        b.names[f"b{j}"] = bb
     return b.build()
 
 
@@ -592,18 +573,12 @@ def transform_retraction_instance(g: TropicalGraph, h: TropicalGraph,
     Q_j tails as the target; every other vertex on the A side receives a
     full P tail at the P's rightmost vertex.
     """
-    if bipartition(g) is None or len(connected_components(g)) != 1:
+    gbip = bipartition(g)
+    if gbip is None or len(connected_components(g)) != 1:
         raise InputError("g must be connected and bipartite")
     check_embedding(h, g, embedding)
+    side_a, side_b, l, k = _zigzag_sides(h)
 
-    hbip = bipartition(h)
-    if hbip is None:
-        raise InputError("h must be bipartite")
-    side_a = tuple(sorted(hbip.part_a))
-    side_b = tuple(sorted(hbip.part_b))
-    l, k = zigzag_parameters(len(side_a), len(side_b))
-
-    gbip = bipartition(g)
     # A' is the g-side holding the embedded copy of side A.
     if side_a:
         probe = embedding[side_a[0]]
@@ -617,21 +592,11 @@ def transform_retraction_instance(g: TropicalGraph, h: TropicalGraph,
         if embedding[bb] in part_a:
             raise InputError("embedding does not respect the bipartition")
 
-    b = _Builder()
-    for v in range(g.n):
-        b.add("W", name=f"g{v}")
-    for u, v in sorted(g.edges):
-        b.edge(u, v)
-    for i, a in enumerate(side_a, start=1):
-        colours = _runs_colours(l, "W", i)
-        _attach_path(b, colours, embedding[a], len(colours) - 1)
-    for j, bb in enumerate(side_b, start=1):
-        colours = _runs_colours(k, "B", j)
-        _attach_path(b, colours, embedding[bb], 0)
-    embedded_a = {embedding[a] for a in side_a}
-    for v in sorted(part_a - embedded_a):
-        colours = _runs_colours(l, "W", None)
-        _attach_path(b, colours, v, len(colours) - 1)
+    embedded_a = [embedding[a] for a in side_a]
+    b = _white_with_tails(g, "g", embedded_a,
+                          [embedding[bb] for bb in side_b], l, k)
+    for v in sorted(part_a - set(embedded_a)):
+        b.weave(_runs_colours(l, "W", None), end=v)
     return b.build()
 
 

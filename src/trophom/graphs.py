@@ -9,6 +9,7 @@ classes internally.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
@@ -52,17 +53,13 @@ class TropicalGraph:
 
     # Adjacency and colour classes are cached on first use; the instance
     # stays hashable/equal on its declared fields only.
-    @property
+    @functools.cached_property
     def adjacency(self) -> tuple:
-        adj = self.__dict__.get("_adj")
-        if adj is None:
-            sets = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                sets[u].add(v)
-                sets[v].add(u)
-            adj = tuple(frozenset(s) for s in sets)
-            object.__setattr__(self, "_adj", adj)
-        return adj
+        sets = [set() for _ in range(self.n)]
+        for u, v in self.edges:
+            sets[u].add(v)
+            sets[v].add(u)
+        return tuple(frozenset(s) for s in sets)
 
     def neighbours(self, v: int) -> tuple:
         return tuple(sorted(self.adjacency[v]))
@@ -73,16 +70,16 @@ class TropicalGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
+    @functools.cached_property
+    def _classes(self) -> dict:
+        grouped: dict = {}
+        for v, c in enumerate(self.colours):
+            grouped.setdefault(c, []).append(v)
+        return {c: tuple(vs) for c, vs in grouped.items()}
+
     def colour_classes(self) -> dict:
         """Map colour token -> sorted tuple of vertices wearing it."""
-        classes = self.__dict__.get("_classes")
-        if classes is None:
-            grouped: dict = {}
-            for v, c in enumerate(self.colours):
-                grouped.setdefault(c, []).append(v)
-            classes = {c: tuple(vs) for c, vs in grouped.items()}
-            object.__setattr__(self, "_classes", classes)
-        return classes
+        return self._classes
 
     def induced(self, vertices: Iterable[int]) -> tuple["TropicalGraph", tuple]:
         """Induced subgraph on the given vertices (ascending original order).
@@ -157,27 +154,19 @@ class Digraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InputError(f"arc {a} out of range")
 
-    @property
+    @functools.cached_property
     def out_adjacency(self) -> tuple:
-        adj = self.__dict__.get("_out")
-        if adj is None:
-            sets = [set() for _ in range(self.n)]
-            for u, v in self.arcs:
-                sets[u].add(v)
-            adj = tuple(frozenset(s) for s in sets)
-            object.__setattr__(self, "_out", adj)
-        return adj
+        sets = [set() for _ in range(self.n)]
+        for u, v in self.arcs:
+            sets[u].add(v)
+        return tuple(frozenset(s) for s in sets)
 
-    @property
+    @functools.cached_property
     def in_adjacency(self) -> tuple:
-        adj = self.__dict__.get("_in")
-        if adj is None:
-            sets = [set() for _ in range(self.n)]
-            for u, v in self.arcs:
-                sets[v].add(u)
-            adj = tuple(frozenset(s) for s in sets)
-            object.__setattr__(self, "_in", adj)
-        return adj
+        sets = [set() for _ in range(self.n)]
+        for u, v in self.arcs:
+            sets[v].add(u)
+        return tuple(frozenset(s) for s in sets)
 
 
 def dgraph(n: int, arcs: Iterable) -> Digraph:

@@ -78,19 +78,22 @@ def solve_all_forcing(source: TropicalGraph,
                       target: TropicalGraph) -> SolveOutcome:
     """Anchor-and-propagate decision for targets made of forcing vertices.
 
-    Per source component: try every same-coloured image for the smallest
-    vertex, propagate the forced images breadth-first, accept on the first
+    Anchor at each source vertex not yet placed, in ascending order (so at
+    the smallest vertex of each component): try every same-coloured image,
+    propagate the forced images breadth-first, accept on the first
     completed trial.  Exhaustive because the propagation is deterministic.
     """
     tables = _tables_of(target)
     classes = target.colour_classes()
+    adjacency, colours = source.adjacency, source.colours
 
     witness: dict = {}
     trials = 0
-    for comp, old in connected_components(source):
-        anchor = 0  # smallest original index, since induced() sorts
+    for anchor in range(source.n):
+        if anchor in witness:
+            continue
         placed = None
-        for t in classes.get(comp.colours[anchor], ()):
+        for t in classes.get(colours[anchor], ()):
             trials += 1
             image = {anchor: t}
             queue = [anchor]
@@ -98,8 +101,8 @@ def solve_all_forcing(source: TropicalGraph,
             while queue and ok:
                 u = queue.pop()
                 base = tables[image[u]]
-                for w in comp.adjacency[u]:
-                    req = base.get(comp.colours[w])
+                for w in adjacency[u]:
+                    req = base.get(colours[w])
                     if req is None:
                         ok = False
                         break
@@ -115,8 +118,7 @@ def solve_all_forcing(source: TropicalGraph,
                 break
         if placed is None:
             return SolveOutcome(False, None, nodes=trials)
-        for new, img in placed.items():
-            witness[old[new]] = img
+        witness.update(placed)
     return SolveOutcome(True, witness, nodes=trials)
 
 
@@ -670,7 +672,8 @@ class StrategyReport:
 class _TargetPlan:
     steps: tuple
     solve: Callable               # source component -> SolveOutcome
-    to_original: tuple            # strategy-target index -> target index
+    to_original: tuple            # strategy-target index -> index in the
+                                  # whole dispatched target
     split: bool
 
 
@@ -712,16 +715,18 @@ def _strategy(t: TropicalGraph) -> tuple:
     return ROUTE_FALLBACK, lambda src: solve_trop_hom(src, t)
 
 
-def _plan_target(tc: TropicalGraph) -> _TargetPlan:
+def _plan_target(tc: TropicalGraph, tmap: tuple) -> _TargetPlan:
+    """Plan one target component; tmap maps its vertices to the whole
+    target's."""
     steps = []
     work = tc
-    to_original = tuple(range(tc.n))
+    to_original = tmap
     if 0 < tc.n <= _CORE_BOUND:
         reduced = core(tc)
         if reduced.graph.n < tc.n:
             steps.append(ROUTE_CORE)
             work = reduced.graph
-            to_original = reduced.retained
+            to_original = tuple(tmap[v] for v in reduced.retained)
     split = bipartition(work) is not None and work.n > 0
     if split:
         steps.append(ROUTE_SPLIT)
@@ -754,7 +759,7 @@ def _solve_component(sc: TropicalGraph, plan: _TargetPlan,
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
 def _plan_dispatch(target: TropicalGraph) -> tuple:
-    """(plans, route, notes) for the target, all tuples: one (plan, tmap)
+    """(plans, route, notes) for the target, all tuples: one _TargetPlan
     per target component, the merged route with ExactFallback last, and
     one note per component.  Cached by the target's value, so the result
     must stay immutable."""
@@ -763,17 +768,17 @@ def _plan_dispatch(target: TropicalGraph) -> tuple:
     route: list = []
     notes = []
     for ci, (tc, tmap) in enumerate(target_comps):
-        plan = _plan_target(tc)
-        plans.append((plan, tmap))
+        plan = _plan_target(tc, tmap)
+        plans.append(plan)
         label = f"target[{ci}]" if len(target_comps) > 1 else "target"
         notes.append(f"{label}: " + " -> ".join(plan.steps))
         for step in plan.steps:
             if step not in route:
                 route.append(step)
     if not plans:
-        # an empty target's plan never places a vertex: () is never read
-        plans = [(_plan_target(target), ())]
-        route = list(plans[0][0].steps)
+        # an empty target's plan never places a vertex
+        plans = [_plan_target(target, ())]
+        route = list(plans[0].steps)
     if ROUTE_FALLBACK in route:
         route = [s for s in route if s != ROUTE_FALLBACK] + [ROUTE_FALLBACK]
     return tuple(plans), tuple(route), tuple(notes)
@@ -800,12 +805,12 @@ def dispatch_solve(source: TropicalGraph,
     witness: Optional[dict] = {}
     nodes = passes = 0
     for si, (sc, smap) in enumerate(connected_components(source)):
-        for plan, tmap in plans:
+        for plan in plans:
             out = _solve_component(sc, plan, notes, f"source[{si}]")
             nodes += out.nodes
             passes += out.passes
             if out.solvable:
-                witness.update((smap[v], tmap[plan.to_original[img]])
+                witness.update((smap[v], plan.to_original[img])
                                for v, img in out.witness.items())
                 break
         else:

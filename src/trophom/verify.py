@@ -18,7 +18,8 @@ from . import gadgets
 from .gadgets import CnfFormula, GadgetGraph, NaeFormula
 from .graphs import InputError, TropicalGraph, plain
 from .poly import dispatch_solve
-from .solver import colour_lists, enumerate_homs, solve_trop_hom
+from .solver import (colour_lists, enumerate_homs, solve_list_hom,
+                     solve_trop_hom)
 from .testing import random_h9_instance, random_source
 
 
@@ -263,7 +264,6 @@ def verify_zigzag_properties(l: int, k: int) -> Report:
     def pin(graph, vertex, image, target):
         lists = dict(colour_lists(graph, target))
         lists[vertex] = frozenset([image]) & lists[vertex]
-        from .solver import solve_list_hom
         return solve_list_hom(graph, target, lists).solvable
 
     # The family facts are about the glued paths, so the attachment ends
@@ -330,7 +330,6 @@ def roundtrip_nae(f: NaeFormula, palette: str = "four",
     inst = gadgets.nae3sat_to_c48(f, palette, k)
     lists = dict(colour_lists(inst.graph, target.graph))
     lists[inst["U_G"]] = lists[inst["U_G"]] & frozenset([target["g0"]])
-    from .solver import solve_list_hom
     got = solve_list_hom(inst.graph, target.graph, lists).solvable
     return Report(
         "not-all-equal round-trip",

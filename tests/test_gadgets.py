@@ -8,7 +8,7 @@ from trophom import (InputError, bipartition, colour_lists,
                      connected_components, enumerate_homs, is_core, plain,
                      solve_digraph_hom, solve_list_hom, solve_retraction,
                      solve_trop_hom, dgraph, tgraph)
-from trophom.gadgets import (build_c48, build_h9,
+from trophom.gadgets import (PALETTES, build_c48, build_h9,
                              build_pair_gadget, build_pq_path, build_s_block,
                              build_triple_gadget, build_zigzag_gadget,
                              c6_listhom_to_h9, nae_formula, nae3sat_to_c48,
@@ -240,6 +240,17 @@ class TestNaeReduction:
         f = nae_formula(4, [(0, 1, 2), (1, 2, 3)])
         inst = nae3sat_to_c48(f)
         assert len(connected_components(inst.graph)) == 1
+
+    @pytest.mark.parametrize("palette", PALETTES)
+    @pytest.mark.parametrize("k", [None, 31])
+    def test_pair_and_triple_are_clause_free_instances(self, palette, k):
+        # the pair and triple gadgets are the reduction of two and three
+        # variables with no clauses, vertex for vertex and name for name
+        for gadget, n_vars in ((build_pair_gadget(0, 1, palette, k), 2),
+                               (build_triple_gadget(0, 1, 2, palette, k), 3)):
+            inst = nae3sat_to_c48(nae_formula(n_vars, []), palette, k)
+            assert gadget.graph == inst.graph
+            assert gadget.names == inst.names
 
 
 class TestH9:

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trophom import (InputError, PreconditionError, bipartition,
-                     connected_components, cycle_graph, path_graph, plain,
-                     split_colours, split_instance, tgraph, validate_hom)
+                     connected_components, cycle_graph, dgraph, path_graph,
+                     plain, split_colours, split_instance, tgraph,
+                     validate_hom)
 from trophom.testing import random_bipartite
 from trophom.verify import trop_hom_brute
 
@@ -112,6 +113,20 @@ class TestComponents:
 
     def test_empty_graph(self):
         assert connected_components(plain(0, [])) == []
+
+
+class TestCachedStructure:
+    def test_cached_reads_leave_equality_and_hash_alone(self):
+        g = tgraph(4, [(0, 1), (1, 2)], list("abab"))
+        assert g.adjacency[1] == frozenset({0, 2})
+        assert g.colour_classes() == {"a": (0, 2), "b": (1, 3)}
+        fresh = tgraph(4, [(2, 1), (0, 1)], list("abab"))
+        assert g == fresh and hash(g) == hash(fresh)
+        d = dgraph(3, [(0, 1), (1, 2)])
+        assert d.out_adjacency[1] == frozenset({2})
+        assert d.in_adjacency[1] == frozenset({0})
+        fresh_d = dgraph(3, [(1, 2), (0, 1)])
+        assert d == fresh_d and hash(d) == hash(fresh_d)
 
 
 class TestSplitColours:

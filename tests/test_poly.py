@@ -389,6 +389,17 @@ class TestDispatch:
         assert trop_hom_brute(src, target)
         assert validate_hom(src, target, out.witness)
 
+    def test_empty_target(self):
+        # only the empty source maps to the empty target
+        empty = tgraph(0, [], [])
+        out, report = dispatch_solve(tgraph(0, [], []), empty)
+        assert out.solvable and out.witness == {}
+        assert report.route == (poly.ROUTE_FORCING,) and report.notes == ()
+        out, report = dispatch_solve(plain(2, [(0, 1)]), empty)
+        assert not out.solvable
+        assert report.route == (poly.ROUTE_FORCING,) and report.notes == ()
+
+
 
 class TestPlanCache:
     def test_equal_target_is_planned_once(self, monkeypatch):
