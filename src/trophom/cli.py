@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from . import formats, gadgets, verify
+from . import formats
 from .cores import core
 from .graphs import InputError, PreconditionError
 from .poly import ROUTE_FALLBACK, detect_features, dispatch_solve
@@ -103,6 +103,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    from . import gadgets
+
     kind = args.kind
     if kind == "c48":
         gg = gadgets.build_c48(args.palette, args.k)
@@ -147,6 +149,8 @@ def _report_exit(report, as_json: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     what = args.what
     if what == "c48-claim":
         report = verify.verify_c48_claim(args.palette)
@@ -171,6 +175,10 @@ def _cmd_verify(args) -> int:
     else:  # pragma: no cover
         raise InputError(f"unknown verification {what!r}")
     return _report_exit(report, args.json)
+
+
+# gadgets.PALETTES, written out so that parsing loads no gadget code.
+_PALETTES = ("four", "three", "two")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("c48", "nae3sat", "h9", "h9-instance",
                                     "tropicalize", "zigzag", "s-block"))
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--palette", choices=gadgets.PALETTES, default="four")
+    p.add_argument("--palette", choices=_PALETTES, default="four")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--cnf")
     p.add_argument("--source")
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a claim verifier")
     p.add_argument("what", choices=("c48-claim", "pq-lemma", "zigzag",
                                     "roundtrip", "cross-check"))
-    p.add_argument("--palette", choices=gadgets.PALETTES, default="four")
+    p.add_argument("--palette", choices=_PALETTES, default="four")
     p.add_argument("--l", type=int, default=3)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--kind", dest="roundtrip_kind",

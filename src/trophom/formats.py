@@ -14,10 +14,12 @@ lines, which re-parse losslessly.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .gadgets import CnfFormula, GadgetGraph, NaeFormula
-from .graphs import Colour, Digraph, InputError, TropicalGraph, dgraph, tgraph
+from .graphs import Colour, Digraph, InputError, TropicalGraph, dgraph
+
+if TYPE_CHECKING:  # gadgets is imported by the parsers that need it
+    from .gadgets import GadgetGraph
 
 
 def _token(colour: Colour) -> str:
@@ -124,15 +126,19 @@ def parse_tropical(text: str) -> TropicalGraph:
             edges.add(key)
         else:
             raise InputError(f"line {ln}: unknown record {kind!r}")
-    for v in range(n):
-        if v not in colours:
-            raise InputError(f"vertex {v} uncoloured")
+    try:
+        seq = tuple(colours[v] for v in range(n))
+    except KeyError as e:
+        raise InputError(f"vertex {e.args[0]} uncoloured") from None
     if len(edges) != m:
         raise InputError(f"header declares {m} edges, found {len(edges)}")
-    return tgraph(n, edges, colours)
+    # The edges are range-checked and normalised above.
+    return TropicalGraph(n, frozenset(edges), seq)
 
 
 def parse_gadget(text: str) -> GadgetGraph:
+    from .gadgets import GadgetGraph
+
     g = parse_tropical(text)
     names = _parse_names(text)
     for label, idx in names.items():
@@ -201,6 +207,8 @@ def serialize_lists(lists: Mapping) -> str:
 def parse_dimacs(text: str, nae: bool = False):
     """DIMACS CNF body; returns CnfFormula, or NaeFormula when nae is set
     (which then requires all-positive literals, three distinct per clause)."""
+    from .gadgets import CnfFormula, NaeFormula
+
     n_vars = None
     n_clauses = None
     literals: list = []

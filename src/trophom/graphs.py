@@ -98,7 +98,11 @@ class TropicalGraph:
         return sub, old
 
     def recoloured(self, colours: Sequence[Colour]) -> "TropicalGraph":
-        return TropicalGraph(self.n, self.edges, tuple(colours))
+        """The same edges with new colours; shares the cached adjacency."""
+        g = TropicalGraph(self.n, self.edges, tuple(colours))
+        if "adjacency" in self.__dict__:
+            g.__dict__["adjacency"] = self.adjacency
+        return g
 
 
 def tgraph(n: int, edges: Iterable, colours) -> TropicalGraph:

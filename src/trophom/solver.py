@@ -255,16 +255,24 @@ def _normalize_lists(source: TropicalGraph, target: TropicalGraph,
     if lists is None:
         return [(1 << target.n) - 1] * source.n
     doms = []
+    # id(list) -> (list, mask): a list object shared by many vertices (as
+    # colour_lists shares one per colour) is masked once; holding the
+    # object keeps its id from being reused within the call.
+    seen: dict = {}
     for v in range(source.n):
         if v not in lists:
             raise InputError(f"vertex {v} has no list")
-        dom = 0
-        for t in set(lists[v]):
-            if not 0 <= t < target.n:
-                raise InputError(f"list of vertex {v} mentions {t}, "
-                                 f"out of range for the target")
-            dom |= 1 << t
-        doms.append(dom)
+        values = lists[v]
+        hit = seen.get(id(values))
+        if hit is None:
+            dom = 0
+            for t in set(values):
+                if not 0 <= t < target.n:
+                    raise InputError(f"list of vertex {v} mentions {t}, "
+                                     f"out of range for the target")
+                dom |= 1 << t
+            seen[id(values)] = hit = (values, dom)
+        doms.append(hit[1])
     return doms
 
 
@@ -280,16 +288,19 @@ def _undirected_csp(source: TropicalGraph, target: TropicalGraph) -> _Csp:
 def colour_lists(source: TropicalGraph, target: TropicalGraph) -> dict:
     """Per-vertex candidate sets: the target colour class of each source
     vertex's colour.  This is the laminar list family that makes the
-    tropical problem a list-homomorphism instance."""
+    tropical problem a list-homomorphism instance.  Vertices of one
+    colour share one frozenset."""
     classes = target.colour_classes()
-    return {v: frozenset(classes.get(source.colours[v], ()))
-            for v in range(source.n)}
+    shared = {c: frozenset(classes.get(c, ())) for c in set(source.colours)}
+    return {v: shared[c] for v, c in enumerate(source.colours)}
 
 
 def solve_list_hom(source: TropicalGraph, target: TropicalGraph,
                    lists: Optional[Mapping] = None) -> SolveOutcome:
     """Decide list homomorphism; exhaustive, deterministic witness."""
     doms = _normalize_lists(source, target, lists)
+    if not all(doms):
+        return SolveOutcome(False, None, 0, 0)
     return _first_solution(_undirected_csp(source, target), doms)
 
 
@@ -301,6 +312,8 @@ def enumerate_homs(source: TropicalGraph, target: TropicalGraph,
     if limit is not None and limit < 1:
         raise InputError("limit must be at least 1")
     doms = _normalize_lists(source, target, lists)
+    if not all(doms):
+        return Enumeration((), False, 0)
     stats = _Counts()
     sols = _search(_undirected_csp(source, target), doms, _pick_static,
                    stats)
@@ -352,7 +365,8 @@ def ac_reduce(source: TropicalGraph, target: TropicalGraph,
               lists: Optional[Mapping] = None) -> Optional[list]:
     """Arc-consistent closure of the lists; None when a domain empties."""
     doms = _normalize_lists(source, target, lists)
-    ok, _ = _ac3(_undirected_csp(source, target), doms)
-    if not ok:
+    # An empty list on a vertex that no arc touches is a wipe-out that
+    # _ac3 never sees.
+    if not all(doms) or not _ac3(_undirected_csp(source, target), doms)[0]:
         return None
     return [{t for t in range(target.n) if d >> t & 1} for d in doms]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from trophom import (FeatureSet, InputError, PreconditionError, cycle_graph,
                      solve_all_forcing, solve_by_colour_pairs, solve_list_hom,
                      solve_trop_hom, solve_via_pairs, tgraph, two_sat,
                      validate_hom)
-from trophom.gadgets import build_c48, build_h9
+from trophom.gadgets import build_c48, build_h9, nae3sat_to_c48, nae_formula
 from trophom import poly
 from trophom.poly import ROUTE_FALLBACK
 from trophom.graphs import connected_components
@@ -493,3 +494,30 @@ class TestDispatchStats:
             assert out == direct
             searched += direct.nodes > 0
         assert searched > 20
+
+
+class TestGadgetDispatchPin:
+    """Pinned dispatches of NAE gadgets against C48.  C48 is bipartite, so
+    each gadget is solved as two colour-split variants; one wears colours
+    the split target lacks and is refuted by an empty list."""
+
+    @pytest.mark.parametrize("n_vars, clauses, n, solvable, nodes, passes, "
+                             "images_sha256", [
+        (4, [(0, 1, 2), (1, 2, 3), (0, 1, 3)], 946, True, 2, 5148,
+         "8c660a870c919484f2b0d37c77f5cb00b14d2381a1f94fb92f45bd181dfad653"),
+        (5, list(combinations(range(5), 3)), 2181, False, 15, 39569, None),
+    ], ids=["sat", "unsat"])
+    def test_nae_gadget_against_c48(self, n_vars, clauses, n, solvable,
+                                    nodes, passes, images_sha256):
+        inst = nae3sat_to_c48(nae_formula(n_vars, clauses)).graph
+        out, report = dispatch_solve(inst, build_c48().graph)
+        assert inst.n == n
+        assert (out.solvable, out.nodes, out.passes) == \
+            (solvable, nodes, passes)
+        assert report.route == (poly.ROUTE_SPLIT, ROUTE_FALLBACK)
+        if images_sha256 is None:
+            assert out.witness is None
+        else:
+            images = ",".join(str(out.witness[v]) for v in range(inst.n))
+            assert hashlib.sha256(images.encode()).hexdigest() == \
+                images_sha256

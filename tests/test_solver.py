@@ -3,10 +3,11 @@ from itertools import islice
 
 import pytest
 
-from trophom import (InputError, ac_reduce, colour_lists, cycle_graph,
-                     dgraph, enumerate_homs, plain, solve_digraph_hom,
-                     solve_list_hom, solve_retraction, solve_trop_hom,
-                     tgraph, validate_hom)
+from trophom import (Enumeration, InputError, SolveOutcome, ac_reduce,
+                     colour_lists, cycle_graph, dgraph, enumerate_homs, plain,
+                     solve_digraph_hom, solve_list_hom, solve_retraction,
+                     solve_trop_hom, tgraph, validate_hom)
+from trophom import solver
 from trophom.testing import random_of_degree, random_tree, random_tropical
 from trophom.verify import (list_hom_brute, list_homs,
                             naive_digraph_status, trop_hom_brute)
@@ -14,6 +15,11 @@ from trophom.verify import (list_hom_brute, list_homs,
 
 def full_lists(source, target):
     return {v: frozenset(range(target.n)) for v in range(source.n)}
+
+
+def path_of(colours):
+    return tgraph(len(colours), [(i, i + 1) for i in range(len(colours) - 1)],
+                  list(colours))
 
 
 class TestSolveListHom:
@@ -231,6 +237,65 @@ class TestArcConsistency:
             for m in found.maps:
                 for v in range(src.n):
                     assert m[v] in reduced[v]
+
+
+    def test_empty_list_on_isolated_vertex(self):
+        # No arc touches vertex 0, so only the root domains show the
+        # wipe-out.
+        source = tgraph(2, [], "aa")
+        target = tgraph(2, [(0, 1)], "aa")
+        assert ac_reduce(source, target, {0: set(), 1: {0}}) is None
+        assert ac_reduce(source, target, {0: {1}, 1: {0}}) == [{1}, {0}]
+
+
+class TestListSetUp:
+    def test_one_list_object_per_colour(self):
+        source = path_of("abab")
+        target = tgraph(5, [(0, 1), (1, 2), (3, 4)], "aabbb")
+        lists = colour_lists(source, target)
+        assert lists[0] is lists[2] and lists[1] is lists[3]
+        assert lists == {0: frozenset({0, 1}), 1: frozenset({2, 3, 4}),
+                         2: frozenset({0, 1}), 3: frozenset({2, 3, 4})}
+        # a colour the target lacks gets the empty list
+        assert colour_lists(path_of("az"), target)[1] == frozenset()
+
+    def test_shared_and_unshared_lists_mask_as_given(self):
+        target = plain(6, [])
+        source = plain(7, [])
+        shared = frozenset({1, 4})
+
+        class Fresh(dict):
+            # Each lookup builds a new set, which is dropped as soon as
+            # the caller lets go of it.
+            def __getitem__(self, v):
+                return set(dict.__getitem__(self, v))
+
+        given = {0: shared, 1: {0, 2}, 2: shared, 3: [5, 5, 3], 4: shared,
+                 5: {0, 2}, 6: range(6)}
+        want = [sum(1 << t for t in set(given[v])) for v in range(7)]
+        for lists in (given, Fresh(given)):
+            assert solver._normalize_lists(source, target, lists) == want
+
+    def test_out_of_range_in_shared_list_names_first_holder(self):
+        target = plain(3, [])
+        bad = frozenset({0, 7})
+        lists = {0: {1}, 1: bad, 2: bad}
+        with pytest.raises(InputError,
+                           match="list of vertex 1 mentions 7, out of range"):
+            solve_list_hom(plain(3, []), target, lists)
+
+    def test_dead_instance_builds_no_network(self, monkeypatch):
+        def no_network(*args):
+            raise AssertionError("built a CSP for an empty list")
+
+        monkeypatch.setattr(solver, "_undirected_csp", no_network)
+        e = plain(2, [(0, 1)])
+        lists = {0: frozenset({0, 1}), 1: frozenset()}
+        assert solve_list_hom(e, e, lists) == SolveOutcome(False, None, 0, 0)
+        assert enumerate_homs(e, e, lists, limit=3) == \
+            Enumeration((), False, 0)
+        assert solve_trop_hom(path_of("az"), e) == \
+            SolveOutcome(False, None, 0, 0)
 
 
 class TestEnginePin:

@@ -1,14 +1,20 @@
 import importlib
 import importlib.util
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from trophom import plain, solve_trop_hom
+import trophom
+from trophom import cli, gadgets, plain, solve_trop_hom
 from trophom.testing import random_of_degree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(trophom.__file__).resolve().parent.parent
 
 
 def _load(name: str):
@@ -50,3 +56,47 @@ def test_benchmark_oracle_agrees_with_the_engine():
                 assert oracle.is_hom(src_plain, k3_plain, witness), seed
         verdicts.add(out.solvable)
     assert verdicts == {True, False}
+
+
+def _loaded_after(code: str, cwd) -> set:
+    """The trophom modules a fresh interpreter holds after running code."""
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
+                    "m for m in sys.modules if m.startswith('trophom'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+UNUSED_BY_SOLVE = {"trophom.gadgets", "trophom.verify", "trophom.testing"}
+
+
+def test_solve_command_loads_no_gadget_or_verify_code(tmp_path):
+    # Every CLI command is its own process; solve must not pay for
+    # compiling modules it never calls.
+    (tmp_path / "s.tg").write_text("tg 2 1\nc 0 a\nc 1 b\ne 0 1\n")
+    (tmp_path / "t.tg").write_text("tg 3 2\nc 0 a\nc 1 b\nc 2 a\n"
+                                   "e 0 1\ne 1 2\n")
+    loaded = _loaded_after(
+        "from trophom.cli import main\n"
+        "code = main(['solve', '--source', 's.tg', '--target', 't.tg', "
+        "'--witness'])\n"
+        "assert code == 0, code", tmp_path)
+    assert "trophom.solver" in loaded
+    assert not loaded & UNUSED_BY_SOLVE
+
+
+def test_formats_loads_no_gadget_code(tmp_path):
+    loaded = _loaded_after("import trophom.formats", tmp_path)
+    assert "trophom.formats" in loaded
+    assert "trophom.gadgets" not in loaded
+
+
+def test_palette_choices_are_the_gadget_palettes():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "command")
+    for command in ("gadget", "verify"):
+        palette = next(a for a in subparsers.choices[command]._actions
+                       if a.dest == "palette")
+        assert tuple(palette.choices) == gadgets.PALETTES
