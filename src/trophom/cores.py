@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import TropicalGraph
-from .solver import (_first_solution, _normalize_lists, _undirected_csp,
-                     colour_lists)
+from .solver import (_first_solution, _normalize_lists, _Supports,
+                     _undirected_csp, colour_lists)
 
 
 def _attempts(g: TropicalGraph, skip=frozenset()):
@@ -34,7 +34,9 @@ def _attempts(g: TropicalGraph, skip=frozenset()):
     todo = [v for v in range(g.n) if v not in skip]
     if not todo:
         return
-    csp = _undirected_csp(g, g)
+    # A relation of its own, not the one kept on g: a pass's graph serves
+    # this one network, so keeping its memo would only cost.
+    csp = _undirected_csp(g, _Supports.of(g.adjacency))
     doms = _normalize_lists(g, g, colour_lists(g, g))
     for v in todo:
         keep = ~(1 << v)

@@ -32,25 +32,25 @@ def _token(colour: Colour) -> str:
     return text
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.rows = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            self.rows.append((ln, stripped.split()))
-        self.pos = 0
+def _records(text: str):
+    """(line number, fields) of each line that is neither blank nor a '#'
+    comment, split as the parser reaches it."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        row = raw.split()
+        if row and row[0][0] != "#":
+            yield ln, row
 
-    def take(self) -> tuple:
-        if self.pos >= len(self.rows):
-            raise InputError("unexpected end of input")
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
 
-    def done(self) -> bool:
-        return self.pos >= len(self.rows)
+def _header(records, kind: str, counted: str) -> tuple:
+    """(n, m) from the first record, which must read ``<kind> <n> <m>``."""
+    first = next(records, None)
+    if first is None:
+        raise InputError("unexpected end of input")
+    ln, head = first
+    if len(head) != 3 or head[0] != kind:
+        raise InputError(f"line {ln}: expected header '{kind} <n> <m>'")
+    return (_int(ln, head[1], "vertex count"),
+            _int(ln, head[2], f"{counted} count"))
 
 
 def _parse_names(text: str) -> dict:
@@ -91,16 +91,11 @@ def _int(ln: int, text: str, what: str) -> int:
 
 
 def parse_tropical(text: str) -> TropicalGraph:
-    lines = _Lines(text)
-    ln, head = lines.take()
-    if len(head) != 3 or head[0] != "tg":
-        raise InputError(f"line {ln}: expected header 'tg <n> <m>'")
-    n = _int(ln, head[1], "vertex count")
-    m = _int(ln, head[2], "edge count")
+    records = _records(text)
+    n, m = _header(records, "tg", "edge")
     colours: dict = {}
     edges = set()
-    while not lines.done():
-        ln, row = lines.take()
+    for ln, row in records:
         kind = row[0]
         if kind == "c":
             if len(row) != 3:
@@ -155,15 +150,10 @@ def serialize_digraph(d: Digraph) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
-    lines = _Lines(text)
-    ln, head = lines.take()
-    if len(head) != 3 or head[0] != "dg":
-        raise InputError(f"line {ln}: expected header 'dg <n> <m>'")
-    n = _int(ln, head[1], "vertex count")
-    m = _int(ln, head[2], "arc count")
+    records = _records(text)
+    n, m = _header(records, "dg", "arc")
     arcs = set()
-    while not lines.done():
-        ln, row = lines.take()
+    for ln, row in records:
         if row[0] != "a" or len(row) != 3:
             raise InputError(f"line {ln}: expected 'a <u> <v>'")
         u = _int(ln, row[1], "tail")
@@ -184,9 +174,7 @@ def parse_lists(text: str) -> dict:
     """Lines ``l <vertex> <t...>``; values are kept verbatim (consumers
     decide whether they are vertex indices or cycle labels)."""
     out: dict = {}
-    lines = _Lines(text)
-    while not lines.done():
-        ln, row = lines.take()
+    for ln, row in _records(text):
         if row[0] != "l" or len(row) < 2:
             raise InputError(f"line {ln}: expected 'l <vertex> <values...>'")
         v = _int(ln, row[1], "vertex")

@@ -105,6 +105,20 @@ class TropicalGraph:
         return g
 
 
+def _kept(g, name: str, key, build):
+    """build(), kept on g under name for key: the value is built again only
+    when a call names another key, and a build that raises keeps nothing.
+
+    This is how data prepared from a graph, such as a planned target's
+    forcing tables or pair sets, lives with the graph object, outside the
+    fields that equality and hashing read.
+    """
+    hit = g.__dict__.get(name)
+    if hit is None or hit[0] != key:
+        hit = g.__dict__[name] = (key, build())
+    return hit[1]
+
+
 def tgraph(n: int, edges: Iterable, colours) -> TropicalGraph:
     """Build a TropicalGraph, normalizing edges and accepting colour
     sequences or vertex->colour mappings."""

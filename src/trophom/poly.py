@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cores import core
-from .graphs import (InputError, PreconditionError, TropicalGraph,
+from .graphs import (InputError, PreconditionError, TropicalGraph, _kept,
                      bipartition, connected_components, split_colours,
                      split_instance)
 from .solver import SolveOutcome, solve_list_hom, solve_trop_hom
@@ -67,11 +67,7 @@ def _tables_of(target: TropicalGraph) -> tuple:
     """_forcing_tables(target), built once per target object and kept on
     it like its adjacency, so a planned target's solves reuse the tables
     its route check built."""
-    tables = target.__dict__.get("_forcing")
-    if tables is None:
-        tables = _forcing_tables(target)
-        object.__setattr__(target, "_forcing", tables)
-    return tables
+    return _kept(target, "_forcing", None, lambda: _forcing_tables(target))
 
 
 def solve_all_forcing(source: TropicalGraph,
@@ -242,15 +238,21 @@ def solve_via_pairs(source: TropicalGraph, target: TropicalGraph,
     holds in particular when the sets are the target's colour classes.
     """
     sets = _check_pair_sets(target, pair_sets)
-    idx_of = {}
+    idx_of = []
     for v in range(source.n):
         if v not in assign:
             raise InputError(f"no pair set assigned to source vertex {v}")
         i = assign[v]
         if not 0 <= i < len(sets):
             raise InputError(f"pair set index {i} out of range")
-        idx_of[v] = i
+        idx_of.append(i)
+    return _solve_pairs(source, target, sets, idx_of)
 
+
+def _solve_pairs(source: TropicalGraph, target: TropicalGraph, sets: list,
+                 idx_of: list) -> SolveOutcome:
+    """solve_via_pairs on checked pair sets, idx_of[v] being the set of
+    source vertex v."""
     clauses = []
     for v in range(source.n):
         members = sets[idx_of[v]]
@@ -312,17 +314,24 @@ def colour_class_pairs(target: TropicalGraph) -> tuple:
     return pair_sets, which
 
 
+def _pairs_of(target: TropicalGraph) -> tuple:
+    """colour_class_pairs(target), checked once per target object and kept
+    on it, so a planned target's solves reuse the sets its route check
+    built."""
+    return _kept(target, "_pairs", None, lambda: colour_class_pairs(target))
+
+
 def solve_by_colour_pairs(source: TropicalGraph,
                           target: TropicalGraph) -> SolveOutcome:
     """2-SAT route for targets where each colour is used at most twice."""
-    pair_sets, which = colour_class_pairs(target)
-    assign = {}
-    for v in range(source.n):
-        i = which.get(source.colours[v])
+    pair_sets, which = _pairs_of(target)
+    idx_of = []
+    for c in source.colours:
+        i = which.get(c)
         if i is None:
             return SolveOutcome(False, None)
-        assign[v] = i
-    return solve_via_pairs(source, target, pair_sets, assign)
+        idx_of.append(i)
+    return _solve_pairs(source, target, pair_sets, idx_of)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +505,12 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
     Returns the surviving instance over the pruned target, or None when a
     list empties along the way, which proves the instance unsolvable.
     """
-    # The last set validated against this target is kept on it, like
-    # its forcing tables: the dispatcher reduces every source component
-    # and split variant with the same planned set.
-    if target.__dict__.get("_valid_features") != s:
-        _validate_features(target, s)
-        object.__setattr__(target, "_valid_features", s)
+    # The pruned target of the last set reduced against this target is
+    # kept on it, like its forcing tables: the dispatcher reduces every
+    # source component and split variant with the same planned set, and
+    # they all share one pruned graph and so one support memo.
+    new_target, pos, pendants, t_back = _kept(
+        target, "_pruned", s, lambda: _pruned_target(target, s))
     classes = target.colour_classes()
 
     alive = [True] * source.n
@@ -600,29 +609,7 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
                 if req is None or not shrink(y, {req}):
                     return None
 
-    # assemble the pruned target and project the lists onto it
-    gone = set(s.type1) | set(s.type3) | set(s.type4)
-    survivors = [h for h in range(target.n) if h not in gone]
-    pos = {h: i for i, h in enumerate(survivors)}
-    cut = {tuple(sorted(e)) for e in s.type2}
-    t_edges = set()
-    for a, b in target.edges:
-        if a in pos and b in pos and (a, b) not in cut:
-            t_edges.add((pos[a], pos[b]))
-    t_colours = [target.colours[h] for h in survivors]
-    t_back = list(survivors)
-    pendants = {}
-    for u in sorted(s.type4):
-        for v in sorted(target.adjacency[u]):
-            idx = len(t_colours)
-            t_colours.append(target.colours[u])
-            t_back.append(u)
-            t_edges.add(tuple(sorted((idx, pos[v]))))
-            pendants.setdefault(u, []).append(idx)
-
-    new_target = TropicalGraph(len(t_colours), frozenset(t_edges),
-                               tuple(t_colours))
-
+    # the surviving source, its lists projected onto the pruned target
     kept = [v for v in range(source.n) if alive[v]]
     s_pos = {v: i for i, v in enumerate(kept)}
     s_edges = frozenset(
@@ -642,7 +629,37 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
         new_lists[s_pos[v]] = frozenset(dom)
 
     return ReducedInstance(new_source, new_lists, new_target,
-                           tuple(kept), tuple(t_back), pinned)
+                           tuple(kept), t_back, pinned)
+
+
+def _pruned_target(target: TropicalGraph, s: FeatureSet) -> tuple:
+    """Validate s against target and build what its elimination leaves of
+    the target: (pruned target, original survivor -> its index, type-4
+    vertex -> indices of its pendants, pruned index -> original index).
+    Type-1, -3 and -4 vertices go, type-2 edges are cut, and each type-4
+    vertex becomes one pendant vertex per neighbour."""
+    _validate_features(target, s)
+    gone = set(s.type1) | set(s.type3) | set(s.type4)
+    survivors = [h for h in range(target.n) if h not in gone]
+    pos = {h: i for i, h in enumerate(survivors)}
+    cut = {tuple(sorted(e)) for e in s.type2}
+    t_edges = set()
+    for a, b in target.edges:
+        if a in pos and b in pos and (a, b) not in cut:
+            t_edges.add((pos[a], pos[b]))
+    t_colours = [target.colours[h] for h in survivors]
+    t_back = list(survivors)
+    pendants = {}
+    for u in sorted(s.type4):
+        for v in sorted(target.adjacency[u]):
+            idx = len(t_colours)
+            t_colours.append(target.colours[u])
+            t_back.append(u)
+            t_edges.add(tuple(sorted((idx, pos[v]))))
+            pendants.setdefault(u, []).append(idx)
+    pruned = TropicalGraph(len(t_colours), frozenset(t_edges),
+                           tuple(t_colours))
+    return pruned, pos, pendants, tuple(t_back)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +675,9 @@ ROUTE_FALLBACK = "ExactFallback"
 # Targets up to this many vertices are replaced by their core first.
 _CORE_BOUND = 20
 # Target plans kept by _plan_dispatch; a plan for a target of up to
-# _CORE_BOUND vertices takes about 5-6 KB.
+# _CORE_BOUND vertices takes about 5-6 KB, plus what its targets keep:
+# pair sets, a pruned feature target, and support memos of at most
+# solver._SUPPORTS_BOUND masks each.
 _PLAN_CACHE = 32
 
 
@@ -707,7 +726,7 @@ def _strategy(t: TropicalGraph) -> tuple:
     the strategy up by its public name when it runs."""
     if _holds(_tables_of, t):
         return ROUTE_FORCING, lambda src: solve_all_forcing(src, t)
-    if _holds(colour_class_pairs, t):
+    if _holds(_pairs_of, t):
         return ROUTE_TWOSAT, lambda src: solve_by_colour_pairs(src, t)
     features = _disjoint_features(detect_features(t), t)
     if features:

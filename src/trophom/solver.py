@@ -16,9 +16,11 @@ a branch copies one list of ints.  Arcs are integer ids in one list, and
 the arc-consistency queue holds ids with a bytearray marking the queued
 ones.  A revision is one AND with a memoised support: each relation keeps
 a dict from the mask of the partner's domain to the mask of values that
-have a compatible value in it, filled on a miss and dropped with the CSP.
-There is no undo trail: at these sizes copying the domain list is one
-C-level slice.
+have a compatible value in it, filled on a miss.  A target's adjacency
+relation is kept on the target object with its memo, so every solve
+against one target shares the supports earlier solves found; the memo
+starts over once it holds more than _SUPPORTS_BOUND masks.  There is no
+undo trail: at these sizes copying the domain list is one C-level slice.
 
 A _Csp is the constraint network only; the root domains are passed to
 each search, so one network (and its support memo) serves many domain
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Mapping, Optional
 
-from .graphs import Digraph, InputError, TropicalGraph, check_embedding
+from .graphs import (Digraph, InputError, TropicalGraph, _kept,
+                     check_embedding)
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,19 @@ class Enumeration:
     nodes: int = 0
 
 
+# Support masks a target's kept relation holds before it starts over: a
+# dict entry is about 0.1 KB, and the plan cache keeps a few targets per
+# plan alive.
+_SUPPORTS_BOUND = 1024
+
+
 class _Supports(dict):
     """One relation, with its supports memoised.
 
     rows[a] is the mask of values of v compatible with u = a.  The dict
     maps a mask of v's domain to the mask of values of u with at least one
-    compatible value in it, filled on a miss; it lives as long as its _Csp.
+    compatible value in it, filled on a miss.  The memo lives with the
+    relation, which one _Csp owns or a target keeps (_relation_of).
     """
 
     __slots__ = ("rows",)
@@ -276,13 +286,34 @@ def _normalize_lists(source: TropicalGraph, target: TropicalGraph,
     return doms
 
 
-def _undirected_csp(source: TropicalGraph, target: TropicalGraph) -> _Csp:
-    rel = _Supports.of(target.adjacency)
-    cons = [[] for _ in range(source.n)]
+def _relation_of(target: TropicalGraph) -> _Supports:
+    """The target's adjacency relation, kept on the target so its support
+    memo serves every solve against it; emptied once past the bound."""
+    rel = _kept(target, "_relation", None,
+                lambda: _Supports.of(target.adjacency))
+    if len(rel) > _SUPPORTS_BOUND:
+        rel.clear()
+    return rel
+
+
+def _undirected_csp(source: TropicalGraph, rel: _Supports) -> _Csp:
+    """The network of source's edges, every arc under rel: the _Csp that
+    one constraint per edge and direction would give, built without the
+    merge, since a simple graph has one edge per pair."""
+    partners = [[] for _ in range(source.n)]
     for u, v in source.edges:
-        cons[u].append((v, rel))
-        cons[v].append((u, rel))
-    return _Csp(source.n, cons)
+        partners[u].append(v)
+        partners[v].append(u)
+    arcs = []
+    into = [[] for _ in range(source.n)]
+    for u, vs in enumerate(partners):
+        vs.sort()
+        for v in vs:
+            into[v].append((len(arcs), u))
+            arcs.append((u, v, rel))
+    csp = _Csp.__new__(_Csp)
+    csp.n, csp.arcs, csp.into = source.n, arcs, into
+    return csp
 
 
 def colour_lists(source: TropicalGraph, target: TropicalGraph) -> dict:
@@ -301,7 +332,8 @@ def solve_list_hom(source: TropicalGraph, target: TropicalGraph,
     doms = _normalize_lists(source, target, lists)
     if not all(doms):
         return SolveOutcome(False, None, 0, 0)
-    return _first_solution(_undirected_csp(source, target), doms)
+    return _first_solution(_undirected_csp(source, _relation_of(target)),
+                           doms)
 
 
 def enumerate_homs(source: TropicalGraph, target: TropicalGraph,
@@ -315,8 +347,8 @@ def enumerate_homs(source: TropicalGraph, target: TropicalGraph,
     if not all(doms):
         return Enumeration((), False, 0)
     stats = _Counts()
-    sols = _search(_undirected_csp(source, target), doms, _pick_static,
-                   stats)
+    sols = _search(_undirected_csp(source, _relation_of(target)), doms,
+                   _pick_static, stats)
     # One solution past the limit, if the search finds it, proves that
     # the listing is truncated.
     maps = tuple(islice(sols, None if limit is None else limit + 1))
@@ -367,6 +399,7 @@ def ac_reduce(source: TropicalGraph, target: TropicalGraph,
     doms = _normalize_lists(source, target, lists)
     # An empty list on a vertex that no arc touches is a wipe-out that
     # _ac3 never sees.
-    if not all(doms) or not _ac3(_undirected_csp(source, target), doms)[0]:
+    if not all(doms) or not _ac3(
+            _undirected_csp(source, _relation_of(target)), doms)[0]:
         return None
     return [{t for t in range(target.n) if d >> t & 1} for d in doms]

@@ -9,6 +9,7 @@ on failure.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import product
@@ -338,14 +339,22 @@ def roundtrip_nae(f: NaeFormula, palette: str = "four",
                      f"oracle={want}, solver={got}"),))
 
 
+@functools.cache
+def _h9_and_c6() -> tuple:
+    """The pendant target H9 and the six-cycle, built once: every round-trip
+    solves against one H9 object and so shares its support memo."""
+    return (gadgets.build_h9().graph,
+            plain(6, [(i, (i + 1) % 6) for i in range(6)]))
+
+
 def roundtrip_h9(source: TropicalGraph, lists: Mapping) -> Report:
     """List instance over the six-cycle versus its pendant-target gadget."""
-    c6 = plain(6, [(i, (i + 1) % 6) for i in range(6)])
+    h9, c6 = _h9_and_c6()
     zero_based = {v: frozenset(x - 1 for x in lists[v])
                   for v in range(source.n)}
     want = list_hom_brute(source, c6, zero_based)
     inst = gadgets.c6_listhom_to_h9(source, lists)
-    got = solve_trop_hom(inst.graph, gadgets.build_h9().graph).solvable
+    got = solve_trop_hom(inst.graph, h9).solvable
     return Report(
         "pendant-target round-trip",
         (CheckResult("list oracle vs gadget", got == want,

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -108,6 +109,66 @@ class TestDimacs:
     def test_header_mismatch(self):
         with pytest.raises(InputError, match="declares"):
             parse_dimacs("p cnf 2 2\n1 2 0\n")
+
+
+NAE_DIMACS = functools.partial(parse_dimacs, nae=True)
+# (parser, text, the InputError text): every malformed input above, files
+# cut short before and inside a record, and one case per message.
+MALFORMED = [
+    (parse_tropical, 'tg 2 1\nc 0 Black\ne 0 1\n', 'vertex 1 uncoloured'),
+    (parse_tropical, 'tg 1 0\nc 0 A\nc 0 B\n',
+     'line 3: vertex 0 coloured twice'),
+    (parse_tropical, 'tg 2 2\nc 0 A\nc 1 A\ne 0 1\ne 1 0\n',
+     'line 5: duplicate edge 1,0'),
+    (parse_tropical, 'tg 2 1\nc 0 A\nc 9 B\ne 0 1\n',
+     'line 3: vertex 9 out of range'),
+    (parse_tropical, '', 'unexpected end of input'),
+    (parse_tropical, '# only a comment\n\n', 'unexpected end of input'),
+    (parse_tropical, 'tg 2 1\nc 0 A\nc 1 B\ne 0',
+     "line 4: expected 'e <u> <v>'"),
+    (parse_tropical, 'tg 3 2\nc 0 A\nc 1 B\nc 2 A\ne 0 1\n',
+     'header declares 2 edges, found 1'),
+    (parse_tropical, 'tg 2\n', "line 1: expected header 'tg <n> <m>'"),
+    (parse_tropical, 'dg 2 1\n', "line 1: expected header 'tg <n> <m>'"),
+    (parse_tropical, 'tg x 1\n',
+     "line 1: vertex count must be an integer, got 'x'"),
+    (parse_tropical, 'tg 2 y\n',
+     "line 1: edge count must be an integer, got 'y'"),
+    (parse_tropical, 'tg 2 0\nc z A\n',
+     "line 2: vertex must be an integer, got 'z'"),
+    (parse_tropical, 'tg 2 0\nc 0\n',
+     "line 2: expected 'c <vertex> <colour>'"),
+    (parse_tropical, 'tg 2 1\nc 0 A\nc 1 A\ne 0 q\n',
+     "line 4: endpoint must be an integer, got 'q'"),
+    (parse_tropical, 'tg 2 1\nc 0 A\nc 1 A\ne 0 5\n',
+     'line 4: edge 0,5 out of range'),
+    (parse_tropical, 'tg 2 1\nc 0 A\nc 1 A\ne 1 1\n',
+     'line 4: self-loop at 1'),
+    (parse_tropical, 'tg 2 1\n  # indented comment\nc 0 A\nc 1 A\nx 0 1\n',
+     "line 5: unknown record 'x'"),
+    (parse_digraph, 'dg 2 1\na 1 1\n', 'line 2: loop at 1'),
+    (parse_digraph, '', 'unexpected end of input'),
+    (parse_digraph, 'dg 2 1\na 0 1\na 0 1\n', 'line 3: duplicate arc 0,1'),
+    (parse_digraph, 'dg 2 1\na 0 3\n', 'line 2: arc 0,3 out of range'),
+    (parse_digraph, 'dg 2 1\nb 0 1\n', "line 2: expected 'a <u> <v>'"),
+    (parse_digraph, 'dg 2 2\na 0 1\n', 'header declares 2 arcs, found 1'),
+    (parse_digraph, 'dg 2 1\na t 1\n',
+     "line 2: tail must be an integer, got 't'"),
+    (parse_lists, 'l 0 1\nl 0 2\n', 'line 2: vertex 0 listed twice'),
+    (parse_lists, 'l\n', "line 1: expected 'l <vertex> <values...>'"),
+    (parse_lists, 'm 0 1\n', "line 1: expected 'l <vertex> <values...>'"),
+    (parse_lists, 'l 0 x\n', "line 1: list entry must be an integer, got 'x'"),
+    (NAE_DIMACS, 'p cnf 3 1\n1 -1 2 0\n',
+     'line 2: negative literal -1 in a not-all-equal formula'),
+    (parse_dimacs, 'p cnf 2 2\n1 2 0\n', 'header declares 2 clauses, found 1'),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", MALFORMED)
+def test_malformed_input_messages(parse, text, message):
+    with pytest.raises(InputError) as caught:
+        parse(text)
+    assert str(caught.value) == message
 
 
 class TestCli:

@@ -169,6 +169,25 @@ class TestSolveViaPairs:
         with pytest.raises(PreconditionError):
             solve_via_pairs(plain(1, [], "a"), target, [(0, 1)], {0: 0})
 
+    def test_direct_calls_check_their_sets_on_a_planned_target(self):
+        # A target that keeps its colour-class pairs still has every
+        # caller-supplied pair set checked.
+        target = cycle_graph(["A0", "B0", "A0", "B0", "A1", "B1"])
+        assert solve_by_colour_pairs(target, target).solvable
+        src = plain(1, [], "A0")
+        with pytest.raises(PreconditionError, match="not independent"):
+            solve_via_pairs(src, target, [(0, 1)], {0: 0})
+        with pytest.raises(PreconditionError, match="1 or 2 vertices"):
+            solve_via_pairs(src, target, [(0, 2, 4)], {0: 0})
+        with pytest.raises(InputError, match="mentions vertex 6"):
+            solve_via_pairs(src, target, [(0, 6)], {0: 0})
+
+    def test_colour_class_of_three_is_refused_every_time(self):
+        target = cycle_graph(["a", "b", "a", "b", "a", "c"])
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="used 3 times"):
+                solve_by_colour_pairs(plain(1, [], "a"), target)
+
     def test_colour_pair_rule_matches_oracle(self):
         rng = random.Random(321)
         done = 0
@@ -472,6 +491,57 @@ class TestPlanCache:
             target = rng.choice(targets)
             dispatch_solve(random_source(rng, target), target)
         assert builds and len(builds) <= len(plans) < len(solves)
+
+
+class TestPreparedTarget:
+    """A planned target keeps what its solves share: the checked pair sets
+    and the pruned feature target."""
+
+    @staticmethod
+    def counting(monkeypatch, names):
+        logs = {}
+        for name in names:
+            real = getattr(poly, name)
+            log = logs[name] = []
+
+            def wrapper(*args, real=real, log=log):
+                log.append(args)
+                return real(*args)
+            monkeypatch.setattr(poly, name, wrapper)
+        return logs
+
+    def test_pair_sets_checked_once_per_plan(self, monkeypatch):
+        logs = self.counting(monkeypatch, ("colour_class_pairs",
+                                           "_check_pair_sets", "_plan_target",
+                                           "solve_by_colour_pairs"))
+        target = cycle_graph(["A0", "B0", "A0", "B0", "A1", "B1"])
+        poly._plan_dispatch.cache_clear()
+        rng = random.Random(77)
+        for _ in range(300):
+            dispatch_solve(random_source(rng, target), target)
+        plans = len(logs["_plan_target"])
+        assert len(logs["solve_by_colour_pairs"]) > 100 * plans
+        assert 1 <= len(logs["colour_class_pairs"]) <= plans
+        assert 1 <= len(logs["_check_pair_sets"]) <= plans
+
+    def test_sources_share_one_pruned_target(self):
+        h9 = build_h9().graph
+        full = poly._disjoint_features(detect_features(h9), h9)
+        rng = random.Random(5)
+        sources = [random_source(rng, h9) for _ in range(30)]
+        reduced = [r for r in (reduce_by_features(src, h9, full)
+                               for src in sources) if r is not None]
+        assert len(reduced) > 5
+        assert all(r.target is reduced[0].target for r in reduced)
+        # the same reductions as against an equal target never reduced
+        for src in sources:
+            fresh = tgraph(h9.n, h9.edges, h9.colours)
+            assert reduce_by_features(src, fresh, full) == \
+                reduce_by_features(src, h9, full)
+        other = FeatureSet(type1=frozenset(sorted(full.type1)[:1]))
+        again = reduce_by_features(h9, h9, other)
+        assert again.target is not reduced[0].target
+        assert again.target.n == reduced[0].target.n + 2
 
 
 class TestDispatchStats:

@@ -298,6 +298,70 @@ class TestListSetUp:
             SolveOutcome(False, None, 0, 0)
 
 
+class TestTargetRelation:
+    """The target's relation and its support memo are kept on the target
+    and serve every solve against it."""
+
+    def test_solves_against_one_target_share_one_relation(self, monkeypatch):
+        built = []
+        real = solver._undirected_csp
+
+        def spy(source, rel):
+            csp = real(source, rel)
+            built.append(csp)
+            return csp
+
+        monkeypatch.setattr(solver, "_undirected_csp", spy)
+        c6 = plain(6, [(i, (i + 1) % 6) for i in range(6)])
+        assert solve_trop_hom(cycle_graph(["Black"] * 4), c6).solvable
+        assert not solve_list_hom(cycle_graph(["Black"] * 3), c6).solvable
+        enumerate_homs(path_of(["Black"] * 3), c6, limit=2)
+        ac_reduce(path_of(["Black"] * 2), c6)
+        rels = {id(arc[2]) for csp in built for arc in csp.arcs}
+        assert len(built) == 4 and len(rels) == 1
+        assert built[0].arcs[0][2] is solver._relation_of(c6)
+        assert len(solver._relation_of(c6)) > 0
+
+    def test_full_memo_restarts_and_answers_hold(self, monkeypatch):
+        rng = random.Random(41)
+        target = random_tropical(rng, 9, ["a", "b"], edge_prob=0.4)
+        sources = [random_tropical(rng, 8, ["a", "b"], edge_prob=0.3)
+                   for _ in range(60)]
+        want = [solve_trop_hom(src, tgraph(target.n, target.edges,
+                                           target.colours))
+                for src in sources]
+        monkeypatch.setattr(solver, "_SUPPORTS_BOUND", 4)
+        sizes = []
+        for src, expected in zip(sources, want):
+            rel = solver._relation_of(target)
+            assert len(rel) <= 4
+            assert solve_trop_hom(src, target) == expected
+            sizes.append(len(rel))
+            assert solver._relation_of(target) is rel
+        # solves outgrew the bound, and the memo started over after them
+        assert max(sizes) > 4
+
+    def test_network_matches_the_merging_build(self):
+        # _undirected_csp skips the per-vertex merge of _Csp, which a
+        # simple graph never needs; arcs, their order and into agree.
+        rng = random.Random(1234)
+        for _ in range(100):
+            target = random_tropical(rng, 7, ["a"], edge_prob=0.5)
+            source = random_tropical(rng, 12, ["a"], edge_prob=rng.random(),
+                                     min_n=0)
+            rel = solver._Supports.of(target.adjacency)
+            cons = [[] for _ in range(source.n)]
+            for u, v in source.edges:
+                cons[u].append((v, solver._Supports.of(target.adjacency)))
+                cons[v].append((u, solver._Supports.of(target.adjacency)))
+            old = solver._Csp(source.n, cons)
+            new = solver._undirected_csp(source, rel)
+            assert new.n == old.n and new.into == old.into
+            assert [(u, v, r.rows) for u, v, r in new.arcs] == \
+                [(u, v, r.rows) for u, v, r in old.arcs]
+            assert all(r is rel for _, _, r in new.arcs)
+
+
 class TestEnginePin:
     """Exact search records of fixed instances, taken from the set-based
     engine that the bitmask engine replaced.  Any change to the revision

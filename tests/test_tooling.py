@@ -100,3 +100,30 @@ def test_palette_choices_are_the_gadget_palettes():
         palette = next(a for a in subparsers.choices[command]._actions
                        if a.dest == "palette")
         assert tuple(palette.choices) == gadgets.PALETTES
+
+
+def test_every_route_runs_a_traced_strategy(monkeypatch):
+    # poly.strategy_s sums the STRATEGY spans directly under a dispatch, so
+    # every route the plan takes must still call a strategy by its public
+    # name.  Each dispatch-reuse target is dispatched against itself, an
+    # instance every route has to solve.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = _load("spans")
+    workload = _load("workloads").DispatchReuse(trophom, 1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for _, target in workload.targets:
+            assert trophom.dispatch_solve(target, target)[0].solvable
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[s[0]] for s in tracer.spans]
+    dispatches = [i for i, name in enumerate(names)
+                  if name == "poly.dispatch_solve"]
+    routes = {tracer.spans[i][4]["route"][-1] for i in dispatches}
+    assert routes == {"AllForcing", "TwoSat", "UniqueFeature",
+                      "ExactFallback"}
+    for d in dispatches:
+        assert any(s[3] == d and names[j] in spans.STRATEGY
+                   for j, s in enumerate(tracer.spans)), \
+            tracer.spans[d][4]["route"]
