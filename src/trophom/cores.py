@@ -19,25 +19,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import TropicalGraph
-from .solver import (_first_solution, _normalize_lists, _Supports,
-                     _undirected_csp, colour_lists)
+from .solver import _first_solution, _mask, _Supports, _undirected_csp
 
 
 def _attempts(g: TropicalGraph, skip=frozenset()):
     """Yield (v, endomorphism of g avoiding v, or None) for each vertex v
     outside skip, ascending, all solved on one colour-list CSP g -> g.
 
-    The witness is the one the list solve into the induced subgraph g - v
-    finds: induced keeps ascending order, so the MRV ties and the value
-    order are the same.
+    A vertex alone in its colour class is left out: every colour-preserving
+    endomorphism fixes it, so its attempt could only fail.  The witness is
+    the one the list solve into the induced subgraph g - v finds: induced
+    keeps ascending order, so the MRV ties and the value order are the same.
     """
-    todo = [v for v in range(g.n) if v not in skip]
+    classes = g.colour_classes()
+    todo = [v for v in range(g.n)
+            if v not in skip and len(classes[g.colours[v]]) > 1]
     if not todo:
         return
     # A relation of its own, not the one kept on g: a pass's graph serves
     # this one network, so keeping its memo would only cost.
     csp = _undirected_csp(g, _Supports.of(g.adjacency))
-    doms = _normalize_lists(g, g, colour_lists(g, g))
+    masks = {c: _mask(vs) for c, vs in classes.items()}
+    doms = [masks[c] for c in g.colours]
     for v in todo:
         keep = ~(1 << v)
         yield v, _first_solution(csp, [d & keep for d in doms]).witness

@@ -10,7 +10,6 @@ classes internally.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -244,6 +243,63 @@ def check_embedding(pattern: TropicalGraph, host: TropicalGraph,
     return inverse
 
 
+def _traverse(g: TropicalGraph):
+    """One BFS 2-colouring of g: yield (vertices, side, odd) per component,
+    in order of its smallest vertex.  vertices lists the component in BFS
+    order from that vertex, which gets bit 0; side is one list for all of
+    g, filled as far as the components yielded so far; odd tells that the
+    component holds an odd cycle, so its bits are not a 2-colouring."""
+    adjacency = g.adjacency
+    side = [-1] * g.n
+    for start in range(g.n):
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        comp = [start]
+        odd = False
+        for v in comp:  # the list is the queue: iteration sees appends
+            s = 1 - side[v]
+            for w in adjacency[v]:
+                if side[w] == -1:
+                    side[w] = s
+                    comp.append(w)
+                elif side[w] != s:
+                    odd = True
+        yield comp, side, odd
+
+
+def _components(g: TropicalGraph):
+    """Yield (component, new->old map, side bits or None) for each connected
+    component of g, from one BFS and one scan of the edges.
+
+    Components come in order of their smallest vertex, with vertices
+    ascending, and a connected g comes back as itself.  The bits are the
+    ones split_instance gives the component, bit 0 on its smallest vertex,
+    and None when it has an odd cycle.
+    """
+    parts = []
+    for comp, side, odd in _traverse(g):
+        if len(comp) == g.n:
+            yield g, tuple(range(g.n)), None if odd else tuple(side)
+            return
+        parts.append((tuple(sorted(comp)), odd))
+    which = [0] * g.n
+    pos = [0] * g.n
+    for ci, (old, _) in enumerate(parts):
+        for i, v in enumerate(old):
+            which[v] = ci
+            pos[v] = i
+    edges = [[] for _ in parts]
+    for u, v in g.edges:
+        # pos is ascending within a component, so the pair stays normalized
+        edges[which[u]].append((pos[u], pos[v]))
+    colours = g.colours
+    for (old, odd), es in zip(parts, edges):
+        sub = TropicalGraph(len(old), frozenset(es),
+                            tuple(colours[v] for v in old))
+        yield sub, old, None if odd else tuple(side[v] for v in old)
+
+
 def connected_components(g: TropicalGraph) -> list:
     """Maximal connected induced subgraphs, each with its new->old index map.
 
@@ -251,47 +307,18 @@ def connected_components(g: TropicalGraph) -> list:
     within a component follows the original indices.  A connected graph
     is its own component, with the identity map.
     """
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        if len(comp) == g.n:
-            return [(g, tuple(range(g.n)))]
-        out.append(g.induced(comp))
-    return out
+    return [(sub, old) for sub, old, _ in _components(g)]
 
 
 def _sides(g: TropicalGraph) -> Optional[tuple]:
     """BFS 2-colouring: (side bit per vertex, number of BFS roots), or None
     on an odd cycle.  Each root is a component's smallest vertex and gets
     bit 0, so g is connected iff there is at most one root."""
-    side = [-1] * g.n
-    roots = 0
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
+    side, roots = [], 0
+    for _, side, odd in _traverse(g):
+        if odd:
+            return None
         roots += 1
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
     return side, roots
 
 

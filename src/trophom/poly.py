@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cores import core
-from .graphs import (InputError, PreconditionError, TropicalGraph, _kept,
-                     bipartition, connected_components, split_colours,
-                     split_instance)
+from .graphs import (InputError, PreconditionError, TropicalGraph,
+                     _components, _kept, bipartition, connected_components,
+                     split_colours)
 from .solver import SolveOutcome, solve_list_hom, solve_trop_hom
 
 
@@ -675,10 +675,12 @@ ROUTE_FALLBACK = "ExactFallback"
 # Targets up to this many vertices are replaced by their core first.
 _CORE_BOUND = 20
 # Target plans kept by _plan_dispatch; a plan for a target of up to
-# _CORE_BOUND vertices takes about 5-6 KB, plus what its targets keep:
-# pair sets, a pruned feature target, and support memos of at most
-# solver._SUPPORTS_BOUND masks each.
+# _CORE_BOUND vertices takes about 5-6 KB, plus its answers for source
+# components of at most two vertices (emptied past _ANSWERS_BOUND, about
+# 0.8 KB each) and what its targets keep: pair sets, a pruned feature
+# target, and support memos of at most solver._SUPPORTS_BOUND masks each.
 _PLAN_CACHE = 32
+_ANSWERS_BOUND = 128
 
 
 @dataclass(frozen=True)
@@ -694,6 +696,8 @@ class _TargetPlan:
     to_original: tuple            # strategy-target index -> index in the
                                   # whole dispatched target
     split: bool
+    # colours of a source component of at most two vertices -> its answer
+    answers: dict = field(default_factory=dict, compare=False)
 
 
 def _holds(check, target: TropicalGraph) -> bool:
@@ -755,20 +759,42 @@ def _plan_target(tc: TropicalGraph, tmap: tuple) -> _TargetPlan:
     return _TargetPlan(tuple(steps), solve, to_original, split)
 
 
-def _solve_component(sc: TropicalGraph, plan: _TargetPlan,
-                     notes: list, label: str) -> SolveOutcome:
-    """The plan's answer for one source component; nodes and passes add
-    up over the colour-split variants it tries."""
+def _solve_component(sc: TropicalGraph, bits: Optional[tuple],
+                     plan: _TargetPlan, notes: list,
+                     label: str) -> SolveOutcome:
+    """The plan's answer for one source component, whose side bits are
+    bits (None on an odd cycle); nodes and passes add up over the
+    colour-split variants it tries.
+
+    A connected component of at most two vertices is a vertex or an edge,
+    so its colours determine it, and the plan keeps its answer; being
+    bipartite, it never writes a note.
+    """
+    if sc.n > 2:
+        return _settle(sc, bits, plan, notes, label)
+    out = plan.answers.get(sc.colours)
+    if out is None:
+        if len(plan.answers) >= _ANSWERS_BOUND:
+            plan.answers.clear()
+        out = plan.answers[sc.colours] = _settle(sc, bits, plan, notes,
+                                                 label)
+    return out
+
+
+def _settle(sc: TropicalGraph, bits: Optional[tuple], plan: _TargetPlan,
+            notes: list, label: str) -> SolveOutcome:
+    """_solve_component without the memo."""
     if not plan.split:
         return plan.solve(sc)
-    try:
-        variants = split_instance(sc)
-    except PreconditionError:  # sc is connected, so it is not bipartite
+    if bits is None:
         notes.append(f"{label}: odd cycle against a bipartite target")
         return SolveOutcome(False, None)
+    # The two side-bit colourings of split_instance, the second built only
+    # when the first has no answer.
     nodes = passes = 0
-    for variant in variants:
-        out = plan.solve(variant)
+    for flip in (0, 1):
+        out = plan.solve(sc.recoloured(
+            tuple((c, b ^ flip) for c, b in zip(sc.colours, bits))))
         nodes += out.nodes
         passes += out.passes
         if out.solvable:
@@ -781,7 +807,9 @@ def _plan_dispatch(target: TropicalGraph) -> tuple:
     """(plans, route, notes) for the target, all tuples: one _TargetPlan
     per target component, the merged route with ExactFallback last, and
     one note per component.  Cached by the target's value, so the result
-    must stay immutable."""
+    must stay immutable; the one memo a plan holds, its answers for
+    components of at most two vertices, caches only answers that the
+    plan's value determines."""
     target_comps = connected_components(target)
     plans = []
     route: list = []
@@ -823,9 +851,9 @@ def dispatch_solve(source: TropicalGraph,
     notes = list(target_notes)
     witness: Optional[dict] = {}
     nodes = passes = 0
-    for si, (sc, smap) in enumerate(connected_components(source)):
+    for si, (sc, smap, bits) in enumerate(_components(source)):
         for plan in plans:
-            out = _solve_component(sc, plan, notes, f"source[{si}]")
+            out = _solve_component(sc, bits, plan, notes, f"source[{si}]")
             nodes += out.nodes
             passes += out.passes
             if out.solvable:

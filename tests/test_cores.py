@@ -169,6 +169,39 @@ class TestCore:
             assert direct == reduced
 
 
+class TestSingletonClasses:
+    """A vertex alone in its colour class is never tried: every
+    colour-preserving endomorphism fixes it."""
+
+    def test_all_singleton_classes_build_no_network(self, monkeypatch):
+        built = []
+        real = cores._undirected_csp
+
+        def counted(g, rel):
+            built.append(g)
+            return real(g, rel)
+
+        monkeypatch.setattr(cores, "_undirected_csp", counted)
+        g = tgraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], list("abcde"))
+        assert core(g).graph == g
+        assert find_proper_retract(g) is None
+        assert built == []
+        assert core(path_graph(["a", "b", "a"])).graph.n == 2
+        assert built
+
+    def test_matches_per_subgraph_core(self):
+        rng = random.Random(205)
+        palettes = (["a", "b"], ["a", "b", "c"], list("abcde"))
+        for _ in range(500):
+            g = random_tropical(rng, 9, rng.choice(palettes),
+                                edge_prob=rng.choice((0.2, 0.35, 0.5)))
+            graph, retained, hom = per_subgraph_core(g)
+            result = core(g)
+            assert result.graph == graph
+            assert result.retained == retained
+            assert list(result.hom.items()) == list(hom.items())
+
+
 class TestC48Core:
     def test_c48_is_a_core(self):
         assert is_core(build_c48("four", 24).graph)

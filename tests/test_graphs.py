@@ -8,7 +8,8 @@ from trophom import (InputError, PreconditionError, bipartition,
                      connected_components, cycle_graph, dgraph, path_graph,
                      plain, split_colours, split_instance, tgraph,
                      validate_hom)
-from trophom.testing import random_bipartite
+from trophom.graphs import _components
+from trophom.testing import random_bipartite, random_tropical
 from trophom.verify import trop_hom_brute
 
 
@@ -113,6 +114,63 @@ class TestComponents:
 
     def test_empty_graph(self):
         assert connected_components(plain(0, [])) == []
+
+
+class TestOnePassComponents:
+    """_components against connected_components plus the side bits
+    split_instance gives each component."""
+
+    @staticmethod
+    def expected(g):
+        out = []
+        for comp, old in connected_components(g):
+            try:
+                first, _ = split_instance(comp)
+            except PreconditionError:
+                bits = None
+            else:
+                bits = tuple(b for _, b in first.colours)
+            out.append((comp, old, bits))
+        return out
+
+    def seeded(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            if rng.random() < 0.5:
+                yield random_bipartite(rng, 10, ["a", "b"],
+                                       edge_prob=rng.choice((0.1, 0.3)))
+            else:
+                yield random_tropical(rng, 10, ["a", "b", "c"],
+                                      edge_prob=rng.choice((0.1, 0.2, 0.4)))
+
+    def test_matches_components_and_split_bits(self):
+        graphs = [plain(0, []), plain(3, []),
+                  # a triangle, an isolated vertex and an even path
+                  tgraph(7, [(0, 2), (2, 5), (0, 5), (1, 3), (3, 6)],
+                         list("abcabca")),
+                  cycle_graph(["a", "b"] * 4)]
+        graphs += self.seeded(71, 300)
+        seen = set()
+        for g in graphs:
+            got = list(_components(g))
+            assert got == self.expected(g)
+            seen.update((len(got) > 1, bits is None) for _, _, bits in got)
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
+
+    def test_connected_graph_comes_back_as_itself(self):
+        g = cycle_graph(["a", "b", "c"] * 2)
+        [(comp, old, bits)] = _components(g)
+        assert comp is g and old == tuple(range(6))
+        assert bits == (0, 1, 0, 1, 0, 1)
+        [(comp, _, bits)] = _components(cycle_graph(["a"] * 5))
+        assert bits is None
+
+    def test_odd_component_keeps_later_bits(self):
+        g = tgraph(5, [(0, 1), (1, 2), (0, 2), (3, 4)], list("abcab"))
+        got = list(_components(g))
+        assert [(old, bits) for _, old, bits in got] == \
+            [((0, 1, 2), None), ((3, 4), (0, 1))]
 
 
 class TestCachedStructure:

@@ -12,7 +12,8 @@ from trophom import (FeatureSet, InputError, PreconditionError, cycle_graph,
                      validate_hom)
 from trophom.gadgets import build_c48, build_h9, nae3sat_to_c48, nae_formula
 from trophom import poly
-from trophom.poly import ROUTE_FALLBACK
+from trophom.poly import ROUTE_FALLBACK, StrategyReport
+from trophom.solver import SolveOutcome
 from trophom.graphs import connected_components
 from trophom.testing import (random_bipartite, random_forcing_tree,
                              random_source, random_tropical)
@@ -564,6 +565,124 @@ class TestDispatchStats:
             assert out == direct
             searched += direct.nodes > 0
         assert searched > 20
+
+
+def _disjoint(*graphs):
+    """The disjoint union, components in the order given."""
+    edges, colours = [], []
+    for g in graphs:
+        edges += [(u + len(colours), v + len(colours)) for u, v in g.edges]
+        colours += g.colours
+    return tgraph(len(colours), edges, colours)
+
+
+def _composed(source, target):
+    """dispatch_solve(source, target) put together from cold dispatches of
+    each source component alone."""
+    witness, nodes, passes, notes = {}, 0, 0, []
+    for si, (sc, smap) in enumerate(connected_components(source)):
+        poly._plan_dispatch.cache_clear()
+        out, report = dispatch_solve(sc, target)
+        target_notes = [n for n in report.notes
+                        if not n.startswith("source[0]")]
+        notes += [f"source[{si}]" + n[len("source[0]"):]
+                  for n in report.notes if n.startswith("source[0]")]
+        nodes += out.nodes
+        passes += out.passes
+        if not out.solvable:
+            witness = None
+            break
+        witness.update((smap[v], img) for v, img in out.witness.items())
+    return (SolveOutcome(witness is not None, witness, nodes, passes),
+            StrategyReport(report.route, tuple(target_notes + notes)))
+
+
+class TestSmallComponentAnswers:
+    """Each plan keeps its answers for source components of one or two
+    vertices, keyed by their colours."""
+
+    # One target per route, without and with the colour split.
+    TARGETS = [
+        (tgraph(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 4), (2, 3), (2, 4)],
+                "bcbcab"), ("AllForcing",)),
+        (cycle_graph(["A0", "B0", "A1", "B1", "A2", "B2", "A3", "B3"]),
+         ("SplitColours", "AllForcing")),
+        (tgraph(5, [(0, 2), (0, 3), (1, 2), (1, 4), (3, 4)], "ccaba"),
+         ("TwoSat",)),
+        (cycle_graph(["A0", "B0", "A0", "B0", "A1", "B1"]),
+         ("SplitColours", "TwoSat")),
+        (tgraph(6, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 4),
+                    (2, 5), (3, 4), (3, 5), (4, 5)], "dcdcdb"),
+         ("UniqueFeature",)),
+        (cycle_graph(["A0", "B0", "A0", "B1", "A0", "B2"]),
+         ("SplitColours", "UniqueFeature")),
+        (TestDispatchStats.CORE8, ("ExactFallback",)),
+        (build_c48().graph, ("SplitColours", "ExactFallback")),
+    ]
+
+    @staticmethod
+    def small_sources(target):
+        """Every vertex and edge over the target's colours and one colour
+        the target lacks."""
+        palette = sorted(set(target.colours)) + ["missing"]
+        out = [path_graph([c]) for c in palette]
+        out += [path_graph([c, d]) for c in palette for d in palette]
+        return out
+
+    def test_hits_equal_cold_dispatches(self):
+        for target, steps in self.TARGETS:
+            poly._plan_dispatch.cache_clear()
+            plans, _, _ = poly._plan_dispatch(target)
+            assert plans[0].steps[-len(steps):] == steps
+            small = self.small_sources(target)
+            # a path and a triangle of one colour: three vertices do not
+            # fix a component, so only the path may be answered by colours
+            three = [target.colours[0]] * 3
+            mixed = [_disjoint(*small[:5], path_graph(three), *small[:5]),
+                     _disjoint(cycle_graph(three), *small[:3]),
+                     _disjoint(*small[::-1])]
+            cold = [_composed(src, target) for src in small + mixed]
+            for _ in range(2):
+                warm = [dispatch_solve(src, target) for src in small + mixed]
+                assert warm == cold
+            assert poly._plan_dispatch(target)[0][0].answers
+
+    def test_full_memo_starts_over(self, monkeypatch):
+        monkeypatch.setattr(poly, "_ANSWERS_BOUND", 3)
+        target, _ = self.TARGETS[1]
+        small = self.small_sources(target)
+        cold = [_composed(src, target) for src in small]
+        poly._plan_dispatch.cache_clear()
+        sizes = []
+        for src, want in zip(small, cold):
+            assert dispatch_solve(src, target) == want
+            sizes.append(len(poly._plan_dispatch(target)[0][0].answers))
+        assert sizes[:5] == [1, 2, 3, 1, 2]
+        assert max(sizes) == 3
+
+    def test_isolated_vertices_solve_once_per_plan(self, monkeypatch):
+        calls = []
+        for name in ("solve_all_forcing", "solve_by_colour_pairs",
+                     "_solve_by_features", "solve_trop_hom"):
+            def counted(*args, _real=getattr(poly, name)):
+                calls.append(args[0])
+                return _real(*args)
+            monkeypatch.setattr(poly, name, counted)
+        c48 = build_c48().graph
+        core8 = TestDispatchStats.CORE8
+        for target, colour in ((core8, "a"), (c48, c48.colours[0]),
+                               (_disjoint(cycle_graph(["x", "y", "z"]), core8),
+                                "a")):
+            counts = []
+            for k in (1, 2, 5):
+                poly._plan_dispatch.cache_clear()
+                calls.clear()
+                out, _ = dispatch_solve(plain(k, [], colour), target)
+                assert out.solvable
+                counts.append(len(calls))
+            assert counts[0] == counts[1] == counts[2] >= 1
+        # the two-component target solves once against each plan
+        assert counts[0] == 2
 
 
 class TestGadgetDispatchPin:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trophom
-from trophom import cli, gadgets, plain, solve_trop_hom
+from trophom import cli, gadgets, plain, poly, solve_trop_hom
 from trophom.testing import random_of_degree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -106,7 +106,9 @@ def test_every_route_runs_a_traced_strategy(monkeypatch):
     # poly.strategy_s sums the STRATEGY spans directly under a dispatch, so
     # every route the plan takes must still call a strategy by its public
     # name.  Each dispatch-reuse target is dispatched against itself, an
-    # instance every route has to solve.
+    # instance every route has to solve.  Plans kept from earlier tests
+    # could answer a component from their memo, with no strategy span.
+    poly._plan_dispatch.cache_clear()
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = _load("spans")
     workload = _load("workloads").DispatchReuse(trophom, 1)
