@@ -12,6 +12,14 @@ if no endomorphism of G avoids v and e: G -> R is a retract, no
 endomorphism f of R avoids v either, or f∘e would be one of G.  So a core
 computation makes at most g.n attempts (Hell & Nešetřil, Graphs and
 Homomorphisms, ch. 2).
+
+Before any CSP, core folds dominated vertices: when u and w share a
+colour and N(u) ⊆ N(w), mapping u to w and fixing every other vertex is a
+retraction, so deleting u leaves the core unchanged up to isomorphism
+(same reference).  The fold is a bitmask sweep with no network, and on
+small targets it often reaches the core by itself; the retract search
+then runs only on what is left.  find_proper_retract and is_core do not
+fold: they answer for g itself.
 """
 
 from __future__ import annotations
@@ -72,17 +80,62 @@ class CoreResult:
     hom: dict                # original vertex index -> core index
 
 
-def core(g: TropicalGraph) -> CoreResult:
-    """Retract repeatedly until no proper retract remains.
+def _fold(g: TropicalGraph) -> list:
+    """Fold away dominated vertices: the vertex each vertex of g maps to,
+    itself when it is kept.
 
-    Each pass runs one CSP on the current graph, in the order of
-    find_proper_retract, but skips the vertices that failed in an earlier
-    pass: no retract can make them avoidable, so every vertex of g is
-    tried at most once and the result is find_proper_retract's fixpoint.
+    Sweeps ascend over the live vertices and delete u when another live
+    vertex w of its colour has every live neighbour of u as a neighbour,
+    mapping u to the smallest such w; they repeat until one deletes
+    nothing.  Each deletion is a retraction of the live subgraph, so the
+    kept vertices induce a retract of g and the map is a homomorphism onto
+    it.  Neighbourhoods are bitmasks from one scan of the edges.
     """
-    current = g
-    retained = tuple(range(g.n))
-    hom = {v: v for v in range(g.n)}
+    n = g.n
+    nbrs = [0] * n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    classes = g.colour_classes()
+    to = list(range(n))
+    live = (1 << n) - 1
+    deleted = True
+    while deleted:
+        deleted = False
+        for u in range(n):
+            if not live >> u & 1:
+                continue
+            mine = nbrs[u] & live
+            for w in classes[g.colours[u]]:
+                if w != u and live >> w & 1 and not mine & ~nbrs[w]:
+                    to[u] = w
+                    live ^= 1 << u
+                    deleted = True
+                    break
+    for u in range(n):  # a vertex maps to a live one, so chains end
+        w = to[u]
+        while to[w] != w:
+            w = to[w]
+        to[u] = w
+    return to
+
+
+def core(g: TropicalGraph) -> CoreResult:
+    """Fold dominated vertices, then retract until no proper retract remains.
+
+    The fold (_fold) is cheap and often reaches the core outright; it
+    keeps a retract of g, whose core is g's core up to isomorphism.  Each
+    pass then runs one CSP on the current graph, in the order of
+    find_proper_retract, but skips the vertices that failed in an earlier
+    pass: no retract can make them avoidable, so every vertex of the
+    folded graph is tried at most once and the result is
+    find_proper_retract's fixpoint on it.
+    """
+    to = _fold(g)
+    retained = tuple(v for v in range(g.n) if to[v] == v)
+    current = g if len(retained) == g.n else g.induced(retained)[0]
+    pos = {o: i for i, o in enumerate(retained)}
+    hom = {v: pos[to[v]] for v in range(g.n)}
     failed = set()             # original indices no endomorphism avoids
     while True:
         skip = {v for v, o in enumerate(retained) if o in failed}

@@ -248,8 +248,15 @@ def _traverse(g: TropicalGraph):
     in order of its smallest vertex.  vertices lists the component in BFS
     order from that vertex, which gets bit 0; side is one list for all of
     g, filled as far as the components yielded so far; odd tells that the
-    component holds an odd cycle, so its bits are not a 2-colouring."""
-    adjacency = g.adjacency
+    component holds an odd cycle, so its bits are not a 2-colouring.
+
+    The search walks neighbour lists from one scan of the edges, not
+    g.adjacency: a disconnected g's whole adjacency would serve only this
+    search, as each component graph builds its own."""
+    adjacency = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     side = [-1] * g.n
     for start in range(g.n):
         if side[start] != -1:

@@ -22,8 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .cores import core
 from .graphs import (InputError, PreconditionError, TropicalGraph,
-                     _components, _kept, bipartition, connected_components,
-                     split_colours)
+                     _components, _kept, connected_components, split_colours)
 from .solver import SolveOutcome, solve_list_hom, solve_trop_hom
 
 
@@ -750,10 +749,17 @@ def _plan_target(tc: TropicalGraph, tmap: tuple) -> _TargetPlan:
             steps.append(ROUTE_CORE)
             work = reduced.graph
             to_original = tuple(tmap[v] for v in reduced.retained)
-    split = bipartition(work) is not None and work.n > 0
-    if split:
-        steps.append(ROUTE_SPLIT)
-        work = split_colours(work)
+    # The component and its core (a retract of a connected graph) are
+    # connected, so split_colours's one BFS raises only on an odd cycle.
+    split = False
+    if work.n:
+        try:
+            work = split_colours(work)
+        except PreconditionError:
+            pass
+        else:
+            split = True
+            steps.append(ROUTE_SPLIT)
     route, solve = _strategy(work)
     steps.append(route)
     return _TargetPlan(tuple(steps), solve, to_original, split)

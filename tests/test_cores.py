@@ -44,6 +44,59 @@ def per_subgraph_core(g):
         hom = {v: pos[retract[cur]] for v, cur in hom.items()}
 
 
+def fold_reference(g):
+    """The dominated-vertex fold with plain sets: ascending sweeps delete
+    u for the smallest other live w of its colour whose neighbourhood
+    holds u's live neighbours, until a sweep deletes nothing.  Returns
+    (kept vertices, vertex -> kept vertex it folds onto)."""
+    live = set(range(g.n))
+    onto = {}
+    swept = False
+    while not swept:
+        swept = True
+        for u in range(g.n):
+            if u not in live:
+                continue
+            mine = g.adjacency[u] & live
+            for w in sorted(live):
+                if (w != u and g.colours[w] == g.colours[u]
+                        and mine <= g.adjacency[w]):
+                    onto[u] = w
+                    live.remove(u)
+                    swept = False
+                    break
+
+    def image(v):
+        while v in onto:
+            v = onto[v]
+        return v
+
+    return sorted(live), {v: image(v) for v in range(g.n)}
+
+
+def folded_per_subgraph_core(g):
+    """per_subgraph_core run on the folded graph, read back on g."""
+    kept, image = fold_reference(g)
+    sub, old = g.induced(kept)
+    graph, retained, hom = per_subgraph_core(sub)
+    pos = {o: i for i, o in enumerate(old)}
+    return (graph, tuple(old[r] for r in retained),
+            {v: hom[pos[image[v]]] for v in range(g.n)})
+
+
+def assert_core_matches(g):
+    """core(g) equals the folded reference exactly (graph, retained, hom
+    order) and the unfolded one up to isomorphism."""
+    graph, retained, hom = folded_per_subgraph_core(g)
+    result = core(g)
+    assert result.graph == graph
+    assert result.retained == retained
+    assert list(result.hom.items()) == list(hom.items())
+    unfolded = per_subgraph_core(g)[0]
+    assert result.graph.n == unfolded.n
+    assert iso_check(result.graph, unfolded)
+
+
 def seeded_graphs(seed, count):
     """Orders 1-9 over one to three colours, sparse to dense."""
     rng = random.Random(seed)
@@ -77,11 +130,7 @@ class TestFindProperRetract:
             got = find_proper_retract(g)
             assert got == want
             assert got is None or list(got.items()) == list(want.items())
-            graph, retained, hom = per_subgraph_core(g)
-            result = core(g)
-            assert result.graph == graph
-            assert result.retained == retained
-            assert list(result.hom.items()) == list(hom.items())
+            assert_core_matches(g)
 
 
 class TestCore:
@@ -186,7 +235,11 @@ class TestSingletonClasses:
         assert core(g).graph == g
         assert find_proper_retract(g) is None
         assert built == []
+        # a b a folds onto its last edge: two singleton classes remain
         assert core(path_graph(["a", "b", "a"])).graph.n == 2
+        assert built == []
+        # no vertex of C6 with one-colour sides is dominated
+        assert core(cycle_graph(["a", "b"] * 3)).graph.n == 2
         assert built
 
     def test_matches_per_subgraph_core(self):
@@ -195,11 +248,39 @@ class TestSingletonClasses:
         for _ in range(500):
             g = random_tropical(rng, 9, rng.choice(palettes),
                                 edge_prob=rng.choice((0.2, 0.35, 0.5)))
-            graph, retained, hom = per_subgraph_core(g)
-            result = core(g)
-            assert result.graph == graph
-            assert result.retained == retained
-            assert list(result.hom.items()) == list(hom.items())
+            assert_core_matches(g)
+
+
+class TestFold:
+    def test_alternating_p5_folds_to_an_edge_with_no_network(self,
+                                                             monkeypatch):
+        built = []
+        real = cores._undirected_csp
+
+        def counted(g, rel):
+            built.append(g)
+            return real(g, rel)
+
+        monkeypatch.setattr(cores, "_undirected_csp", counted)
+        g = path_graph(["a", "b", "a", "b", "a"])
+        result = core(g)
+        assert result.graph == tgraph(2, [(0, 1)], ["b", "a"])
+        assert result.retained == (3, 4)
+        assert result.hom == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+        assert built == []
+
+    def test_fold_is_a_retraction(self):
+        for g in seeded_graphs(207, 500):
+            onto = cores._fold(g)
+            kept = [v for v in range(g.n) if onto[v] == v]
+            assert all(onto[onto[v]] == onto[v] for v in range(g.n))
+            assert validate_hom(g, g, dict(enumerate(onto)))
+            assert kept == fold_reference(g)[0]
+            # the fold stops only when no kept vertex is dominated
+            for u in kept:
+                mine = g.adjacency[u].intersection(kept)
+                assert not any(w != u and g.colours[w] == g.colours[u]
+                               and mine <= g.adjacency[w] for w in kept)
 
 
 class TestC48Core:

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trophom import (FeatureSet, InputError, PreconditionError, cycle_graph,
                      detect_features, dispatch_solve, forcing_vertices,
@@ -14,7 +16,7 @@ from trophom.gadgets import build_c48, build_h9, nae3sat_to_c48, nae_formula
 from trophom import poly
 from trophom.poly import ROUTE_FALLBACK, StrategyReport
 from trophom.solver import SolveOutcome
-from trophom.graphs import connected_components
+from trophom.graphs import _traverse, connected_components
 from trophom.testing import (random_bipartite, random_forcing_tree,
                              random_source, random_tropical)
 from trophom.verify import trop_hom_brute
@@ -420,6 +422,66 @@ class TestDispatch:
         assert not out.solvable
         assert report.route == (poly.ROUTE_FORCING,) and report.notes == ()
 
+
+@st.composite
+def tropical_graphs(draw, max_n, twice=False):
+    """Graphs of order 0..max_n over one to three colours.  With twice, a
+    graph of at most half that order may come back beside a copy of
+    itself, which is disconnected and never a core."""
+    n = draw(st.integers(0, max_n))
+    palette = "abc"[:draw(st.integers(1, 3))]
+    colours = draw(st.lists(st.sampled_from(palette), min_size=n,
+                            max_size=n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs \
+        else []
+    g = tgraph(n, edges, colours)
+    if twice and 2 * n <= max_n and draw(st.booleans()):
+        g = _disjoint(g, g)
+    return g
+
+
+class TestDispatchAgainstBruteForce:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_status_matches_brute_force(self, data):
+        target = data.draw(tropical_graphs(6, twice=True).filter(
+            lambda g: g.n > 0))
+        source = data.draw(tropical_graphs(5))
+        out, report = dispatch_solve(source, target)
+        assert out.solvable == trop_hom_brute(source, target), report
+        if out.solvable:
+            assert validate_hom(source, target, out.witness)
+
+
+class TestPlanWork:
+    """Planning and splitting build only what they read."""
+
+    def test_disconnected_source_leaves_adjacency_unbuilt(self):
+        target = path_graph(["a", "b", "a", "b", "a"])
+        for _ in range(2):  # a fresh plan, then the cached one
+            source = tgraph(5, [(0, 1), (2, 3)], list("ababa"))
+            out, _ = dispatch_solve(source, target)
+            assert out.solvable and validate_hom(source, target, out.witness)
+            assert "adjacency" not in source.__dict__
+
+    @pytest.mark.parametrize("component", [
+        cycle_graph(["a", "b"] * 3),          # bipartite: split
+        cycle_graph(["a", "b", "c"] * 2 + ["a"]),  # odd cycle: not split
+        path_graph(["a", "b", "a", "b", "a"]),  # folds, then split
+    ])
+    def test_planning_a_component_runs_one_bfs(self, monkeypatch,
+                                               component):
+        runs = []
+
+        def counted(g):
+            runs.append(g)
+            return _traverse(g)
+
+        monkeypatch.setattr("trophom.graphs._traverse", counted)
+        plan = poly._plan_target(component, tuple(range(component.n)))
+        assert len(runs) == 1
+        assert plan.split == (poly.ROUTE_SPLIT in plan.steps)
 
 
 class TestPlanCache:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trophom
-from trophom import cli, gadgets, plain, poly, solve_trop_hom
+from trophom import cli, gadgets, path_graph, plain, poly, solve_trop_hom
 from trophom.testing import random_of_degree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -129,3 +129,25 @@ def test_every_route_runs_a_traced_strategy(monkeypatch):
         assert any(s[3] == d and names[j] in spans.STRATEGY
                    for j, s in enumerate(tracer.spans)), \
             tracer.spans[d][4]["route"]
+
+
+def test_fresh_target_plans_its_core_and_split_in_trace():
+    # poly.plan_s sums the PLAN spans directly under a dispatch.  A fresh
+    # target that is not a core is folded inside the public core, and its
+    # colour split runs through split_colours, so both are seen.
+    spans = _load("spans")
+    target = path_graph(["a", "b", "a", "b", "a"])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        out, report = trophom.dispatch_solve(target, target)
+    finally:
+        tracer.uninstall()
+    assert out.solvable
+    assert report.route[:2] == ("CoreReduced", "SplitColours")
+    names = [tracer.names[s[0]] for s in tracer.spans]
+    [d] = [i for i, name in enumerate(names)
+           if name == "poly.dispatch_solve"]
+    planned = {names[j] for j, s in enumerate(tracer.spans)
+               if s[3] == d and names[j] in spans.PLAN}
+    assert {"cores.core", "graphs.split_colours"} <= planned
