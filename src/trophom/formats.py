@@ -10,6 +10,10 @@ Formulas:               DIMACS CNF, ``p cnf <vars> <clauses>`` with
 
 Serialized gadget graphs carry their named vertices in ``# name`` comment
 lines, which re-parse losslessly.
+
+Every parser refuses a graph past MAX_VERTICES vertices or MAX_EDGES edges
+(arcs) before building anything for it: a header line, a DIMACS variable
+count or a list vertex index past a cap raises InputError.
 """
 
 from __future__ import annotations
@@ -20,6 +24,13 @@ from .graphs import Colour, Digraph, InputError, TropicalGraph, dgraph
 
 if TYPE_CHECKING:  # gadgets is imported by the parsers that need it
     from .gadgets import GadgetGraph
+
+# Size caps of the parsers.  A header alone fixes how much is built (a
+# digraph's vertices each grow a gadget), so a short input could otherwise
+# ask for any size; the largest graph the tests and benchmarks write is a
+# 6592-vertex gadget.
+MAX_VERTICES = 100_000
+MAX_EDGES = 1_000_000
 
 
 def _token(colour: Colour) -> str:
@@ -49,8 +60,19 @@ def _header(records, kind: str, counted: str) -> tuple:
     ln, head = first
     if len(head) != 3 or head[0] != kind:
         raise InputError(f"line {ln}: expected header '{kind} <n> <m>'")
-    return (_int(ln, head[1], "vertex count"),
-            _int(ln, head[2], f"{counted} count"))
+    return (_capped(ln, _int(ln, head[1], "vertex count"), "vertex count"),
+            _capped(ln, _int(ln, head[2], f"{counted} count"),
+                    f"{counted} count", edges=True))
+
+
+def _capped(ln: int, value: int, what: str, edges: bool = False) -> int:
+    """value, unless it is past the vertex cap (the edge cap with edges)."""
+    cap, name = (MAX_EDGES, "MAX_EDGES") if edges else \
+        (MAX_VERTICES, "MAX_VERTICES")
+    if value > cap:
+        raise InputError(f"line {ln}: {what} {value} is past the cap "
+                         f"{name} = {cap}")
+    return value
 
 
 def _parse_names(text: str) -> dict:
@@ -178,6 +200,9 @@ def parse_lists(text: str) -> dict:
         if row[0] != "l" or len(row) < 2:
             raise InputError(f"line {ln}: expected 'l <vertex> <values...>'")
         v = _int(ln, row[1], "vertex")
+        if v >= MAX_VERTICES:
+            raise InputError(f"line {ln}: vertex {v} is past the cap "
+                             f"MAX_VERTICES = {MAX_VERTICES}")
         if v in out:
             raise InputError(f"line {ln}: vertex {v} listed twice")
         out[v] = frozenset(_int(ln, x, "list entry") for x in row[2:])
@@ -210,8 +235,10 @@ def parse_dimacs(text: str, nae: bool = False):
             if len(parts) != 4 or parts[1] != "cnf":
                 raise InputError(f"line {ln}: expected 'p cnf <vars> "
                                  f"<clauses>'")
-            n_vars = _int(ln, parts[2], "variable count")
-            n_clauses = _int(ln, parts[3], "clause count")
+            n_vars = _capped(ln, _int(ln, parts[2], "variable count"),
+                             "variable count")
+            n_clauses = _capped(ln, _int(ln, parts[3], "clause count"),
+                                "clause count", edges=True)
             continue
         if n_vars is None:
             raise InputError(f"line {ln}: clause before the 'p cnf' header")

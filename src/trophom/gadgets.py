@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Mapping, Optional, Sequence
 
+from . import formats
 from .graphs import (Colour, Digraph, InputError, TropicalGraph,
                      bipartition, check_embedding, connected_components,
                      path_graph, tgraph)
@@ -355,7 +357,16 @@ def nae3sat_to_c48(f: NaeFormula, palette: str = "four",
     connector trees per unordered triple; and per clause (l1, l2, l3) a
     blocking path b1 of {l1,l2} -P> G -P> B -P> G -Q- b2 of {l2,l3} that
     rules out folding all three clause pairs at once.
+
+    The instance grows with the cube of the variable count, so one past
+    formats.MAX_VERTICES vertices raises InputError before it is built.
     """
+    order = _c48_order(comb(f.n_vars, 2), comb(f.n_vars, 3), len(f.clauses),
+                       palette, k)
+    if order > formats.MAX_VERTICES:
+        raise InputError(f"the instance of {f.n_vars} variables would have "
+                         f"{order} vertices, past the cap MAX_VERTICES = "
+                         f"{formats.MAX_VERTICES}")
     return _c48_instance(list(combinations(range(f.n_vars), 2)),
                          list(combinations(range(f.n_vars), 3)),
                          f.clauses, palette, k)
@@ -386,17 +397,24 @@ def _c48_instance(pairs: Sequence, triples: Sequence, clauses: Sequence,
         b.weave(_pq_colours("Q", "G", "B", palette, 2 * emax),
                 start=gc, end=right)
     out = b.build()
+    assert out.graph.n == _c48_order(len(pairs), len(triples), len(clauses),
+                                     palette, k)
+    return out
 
+
+def _c48_order(n_pairs: int, n_triples: int, n_clauses: int, palette: str,
+               k: Optional[int]) -> int:
+    """Vertex count of a _c48_instance with these numbers of pieces."""
+    extras = _arc_extras(palette, k)
+    emax = max(extras)
     base = _base_arc_length(palette)
     # internals per piece: P holds base-1+extra vertices, Q holds base+1+extra
     per_pair = (5 + 3 * (base - 1) + extras[0] + extras[1] + extras[3]
                 + 3 * (base + 1) + sum(_pair_q_extras(extras)))
     per_tree = 3 + 2 * (base - 1 + emax) + 3 * (base + 1 + 2 * emax)
     per_clause = 3 + 3 * (base - 1 + emax) + (base + 1 + 2 * emax)
-    expected = (1 + len(pairs) * per_pair + len(triples) * 3 * per_tree
-                + len(clauses) * per_clause)
-    assert out.graph.n == expected, (out.graph.n, expected)
-    return out
+    return (1 + n_pairs * per_pair + n_triples * 3 * per_tree
+            + n_clauses * per_clause)
 
 
 # ---------------------------------------------------------------------------

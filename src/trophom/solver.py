@@ -12,11 +12,13 @@ order (ties and values by lowest index), enumeration branches on variables
 in index order so maps come out in lexicographic order of their images.
 
 Domains are int bitmasks (bit a set when target vertex a is allowed), so
-a branch copies one list of ints.  Arcs are integer ids in one list, and
-the arc-consistency queue holds ids with a bytearray marking the queued
-ones.  A revision is one AND with a memoised support: each relation keeps
-a dict from the mask of the partner's domain to the mask of values that
-have a compatible value in it, filled on a miss.  A target's adjacency
+a branch copies one list of ints.  The arc-consistency queue holds the
+variables whose domain shrank, with a bytearray marking the queued ones;
+each variable watches the neighbours it supports, grouped by relation.
+A revision is one AND with a memoised support: each relation keeps a dict
+from the mask of the partner's domain to the mask of values that have a
+compatible value in it, filled on a miss, so one lookup serves a whole
+group (every neighbour, on an undirected network).  A target's adjacency
 relation is kept on the target object with its memo, so every solve
 against one target shares the supports earlier solves found; the memo
 starts over once it holds more than _SUPPORTS_BOUND masks.  There is no
@@ -109,23 +111,23 @@ class _Csp:
 
     A search takes the domains separately: entry u of its list is an int
     whose bit a is set when value a is allowed for u.  cons[u] lists
-    (v, rel) pairs with rel a _Supports; arcs that share a relation object
-    share its memo.  Constraints are stored in both directions, and
-    several relations on the same ordered pair (a digraph 2-cycle, say)
-    are merged by intersection since one joint assignment must satisfy
-    them all.
+    (v, rel) pairs with rel a _Supports, the constraint that revises u
+    against v.  Constraints are stored in both directions, and several
+    relations on the same ordered pair (a digraph 2-cycle, say) are merged
+    by intersection since one joint assignment must satisfy them all.
 
-    Each ordered pair becomes an arc id: arcs[i] is (u, v, rel), in order
-    of u and then v, and into[v] lists (i, u) for the arcs whose support
-    lies in v, i.e. the arcs to re-examine when v's domain shrinks.
+    watch[v] lists the variables to revise when v's domain shrinks,
+    grouped by relation object: (rel, (u1, u2, ...)) in order of first u,
+    each tuple ascending.  One support rel[doms[v]] serves a whole group.
     """
 
-    __slots__ = ("n", "arcs", "into")
+    __slots__ = ("n", "watch")
 
     def __init__(self, n: int, cons):
         self.n = n
-        arcs = []
-        into = [[] for _ in range(n)]
+        # Per v: id(rel) -> (rel, [u, ...]); _Supports is a dict, so it
+        # cannot key a dict itself, and every rel here stays referenced.
+        groups: list = [{} for _ in range(n)]
         for u, pairs in enumerate(cons):
             by_partner: dict = {}
             for v, rel in pairs:
@@ -133,45 +135,50 @@ class _Csp:
                 if old is not None and old is not rel:
                     rel = _Supports(map(int.__and__, old.rows, rel.rows))
                 by_partner[v] = rel
-            for v in sorted(by_partner):
-                into[v].append((len(arcs), u))
-                arcs.append((u, v, by_partner[v]))
-        self.arcs = arcs
-        self.into = into
+            for v, rel in by_partner.items():
+                groups[v].setdefault(id(rel), (rel, []))[1].append(u)
+        self.watch = [[(rel, tuple(us)) for rel, us in g.values()]
+                      for g in groups]
 
 
 def _ac3(csp: _Csp, doms, seed=None) -> tuple:
     """Run arc consistency to a fixpoint; returns (consistent, revise_count).
 
-    A revision of arc (u, v) keeps the values of u with support in v's
-    domain: doms[u] & supports[doms[v]].  seed lists the arc ids to start
-    from, all arcs when None.
+    The queue holds variables whose domain shrank.  Popping v revises each
+    u in watch[v] against v: doms[u] &= rel[doms[v]], one memoised support
+    per group.  seed is the one variable to start from (a branch just
+    fixed it), every variable when None.  The count is of revisions, one
+    per (u against v) AND, up to and including a wiped-out domain.
     """
-    arcs, into = csp.arcs, csp.into
-    # A list read front to back is the FIFO queue: iteration sees the ids
-    # appended behind it, and queued[i] is set while i waits unread.
+    watch = csp.watch
+    # A list read front to back is the FIFO queue: iteration sees the
+    # variables appended behind it, and queued[v] is set while v waits.
     if seed is None:
-        queue = list(range(len(arcs)))
-        queued = bytearray(b"\x01") * len(arcs)
+        queue = list(range(csp.n))
+        queued = bytearray(b"\x01") * csp.n
     else:
-        queue = list(seed)
-        queued = bytearray(len(arcs))
-        for i in queue:
-            queued[i] = 1
-    for passes, i in enumerate(queue, 1):
-        queued[i] = 0
-        u, v, sup = arcs[i]
-        du = doms[u]
-        nd = du & sup[doms[v]]
-        if nd != du:
-            if not nd:
-                return False, passes
-            doms[u] = nd
-            for j, w in into[u]:
-                if w != v and not queued[j]:
-                    queue.append(j)
-                    queued[j] = 1
-    return True, len(queue)
+        queue = [seed]
+        queued = bytearray(csp.n)
+        queued[seed] = 1
+    push = queue.append
+    passes = 0
+    for v in queue:
+        queued[v] = 0
+        dv = doms[v]
+        for rel, us in watch[v]:
+            s = rel[dv]
+            for u in us:
+                du = doms[u]
+                nd = du & s
+                if nd != du:
+                    if not nd:
+                        return False, passes + us.index(u) + 1
+                    doms[u] = nd
+                    if not queued[u]:
+                        push(u)
+                        queued[u] = 1
+            passes += len(us)
+    return True, passes
 
 
 def _pick_mrv(doms) -> Optional[int]:
@@ -241,7 +248,7 @@ def _search(csp: _Csp, doms, pick, stats: _Counts) -> Iterator[dict]:
             child = doms[:]
             child[var] = low
             stats.nodes += 1
-            ok, p = _ac3(csp, child, seed=[i for i, _ in csp.into[var]])
+            ok, p = _ac3(csp, child, var)
             stats.passes += p
             if ok:
                 cur = child
@@ -299,20 +306,15 @@ def _relation_of(target: TropicalGraph) -> _Supports:
 def _undirected_csp(source: TropicalGraph, rel: _Supports) -> _Csp:
     """The network of source's edges, every arc under rel: the _Csp that
     one constraint per edge and direction would give, built without the
-    merge, since a simple graph has one edge per pair."""
+    merge, since a simple graph has one edge per pair.  Each vertex with
+    neighbours watches them in one group."""
     partners = [[] for _ in range(source.n)]
     for u, v in source.edges:
         partners[u].append(v)
         partners[v].append(u)
-    arcs = []
-    into = [[] for _ in range(source.n)]
-    for u, vs in enumerate(partners):
-        vs.sort()
-        for v in vs:
-            into[v].append((len(arcs), u))
-            arcs.append((u, v, rel))
     csp = _Csp.__new__(_Csp)
-    csp.n, csp.arcs, csp.into = source.n, arcs, into
+    csp.n = source.n
+    csp.watch = [[(rel, tuple(sorted(vs)))] if vs else [] for vs in partners]
     return csp
 
 
@@ -362,16 +364,21 @@ def solve_trop_hom(source: TropicalGraph,
     return solve_list_hom(source, target, colour_lists(source, target))
 
 
-def solve_digraph_hom(d1: Digraph, d2: Digraph) -> SolveOutcome:
-    """Decide arc-preserving homomorphism between loopless digraphs."""
-    doms = [(1 << d2.n) - 1] * d1.n
+def _digraph_csp(d1: Digraph, d2: Digraph) -> _Csp:
+    """The network of d1's arcs: an arc u -> v asks for an arc of d2 from
+    u's value to v's, and a 2-cycle of d1 merges two relations."""
     out_rel = _Supports.of(d2.out_adjacency)
     in_rel = _Supports.of(d2.in_adjacency)
     cons = [[] for _ in range(d1.n)]
     for u, v in d1.arcs:
         cons[u].append((v, out_rel))
         cons[v].append((u, in_rel))
-    return _first_solution(_Csp(d1.n, cons), doms)
+    return _Csp(d1.n, cons)
+
+
+def solve_digraph_hom(d1: Digraph, d2: Digraph) -> SolveOutcome:
+    """Decide arc-preserving homomorphism between loopless digraphs."""
+    return _first_solution(_digraph_csp(d1, d2), [(1 << d2.n) - 1] * d1.n)
 
 
 def solve_retraction(host: TropicalGraph, target: TropicalGraph,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trophom
-from trophom import InputError, cycle_graph, plain, tgraph
+from trophom import InputError, cycle_graph, formats, plain, tgraph
 from trophom.cli import main
 from trophom.formats import (parse_digraph, parse_dimacs, parse_gadget,
                              parse_lists, parse_tropical, serialize_digraph,
@@ -161,6 +161,20 @@ MALFORMED = [
     (NAE_DIMACS, 'p cnf 3 1\n1 -1 2 0\n',
      'line 2: negative literal -1 in a not-all-equal formula'),
     (parse_dimacs, 'p cnf 2 2\n1 2 0\n', 'header declares 2 clauses, found 1'),
+    (parse_tropical, 'tg 100001 0\n',
+     'line 1: vertex count 100001 is past the cap MAX_VERTICES = 100000'),
+    (parse_tropical, 'tg 2 1000001\n',
+     'line 1: edge count 1000001 is past the cap MAX_EDGES = 1000000'),
+    (parse_digraph, '# big\ndg 200000 0\n',
+     'line 2: vertex count 200000 is past the cap MAX_VERTICES = 100000'),
+    (parse_digraph, 'dg 2 1000001\n',
+     'line 1: arc count 1000001 is past the cap MAX_EDGES = 1000000'),
+    (parse_lists, 'l 0 1\nl 100000 1\n',
+     'line 2: vertex 100000 is past the cap MAX_VERTICES = 100000'),
+    (parse_dimacs, 'p cnf 100001 1\n1 2 3 0\n',
+     'line 1: variable count 100001 is past the cap MAX_VERTICES = 100000'),
+    (NAE_DIMACS, 'c big\np cnf 3 1000001\n',
+     'line 2: clause count 1000001 is past the cap MAX_EDGES = 1000000'),
 ]
 
 
@@ -169,6 +183,22 @@ def test_malformed_input_messages(parse, text, message):
     with pytest.raises(InputError) as caught:
         parse(text)
     assert str(caught.value) == message
+
+
+def test_caps_admit_a_graph_of_exactly_their_size(monkeypatch):
+    monkeypatch.setattr(formats, "MAX_VERTICES", 3)
+    monkeypatch.setattr(formats, "MAX_EDGES", 2)
+    g = parse_tropical("tg 3 2\nc 0 A\nc 1 A\nc 2 A\ne 0 1\ne 1 2\n")
+    assert (g.n, len(g.edges)) == (3, 2)
+    assert parse_digraph("dg 3 2\na 0 1\na 1 0\n").n == 3
+    assert set(parse_lists("l 2 0\n")) == {2}
+    assert parse_dimacs("p cnf 3 2\n1 0\n-3 0\n").n_vars == 3
+    for parse, text in [(parse_tropical, "tg 4 0\n"),
+                        (parse_tropical, "tg 3 3\n"),
+                        (parse_lists, "l 3 0\n"),
+                        (parse_dimacs, "p cnf 2 3\n")]:
+        with pytest.raises(InputError, match="past the cap"):
+            parse(text)
 
 
 class TestCli:
@@ -260,6 +290,32 @@ class TestCli:
         h = self.tg(tmp_path, "h.tg", plain(3, [(0, 1), (1, 2)]))
         assert main(["gadget", "zigzag", "--graph", h,
                      "--out", str(tmp_path / "z.tg")]) == 0
+
+    def test_oversized_digraph_header_writes_nothing(self, tmp_path,
+                                                     capsys):
+        # One header line must not make tropicalize build and write a
+        # gadget of any size it names.
+        dg = tmp_path / "big.dg"
+        dg.write_text("dg 200000 0\n")
+        out = tmp_path / "t.tg"
+        assert main(["gadget", "tropicalize", "--in", str(dg),
+                     "--out", str(out)]) == 2
+        assert "past the cap MAX_VERTICES" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nae_instance_past_the_cap_is_refused_before_it_is_built(
+            self, tmp_path, capsys):
+        # The NAE instance grows with the cube of the variable count: 17
+        # variables give 96969 vertices before clauses, 18 give 115822
+        # and 33 more per clause.
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 18 1\n1 2 3 0\n")
+        out = tmp_path / "g.tg"
+        assert main(["gadget", "nae3sat", "--cnf", str(cnf),
+                     "--out", str(out)]) == 2
+        assert "18 variables would have 115855 vertices, past the cap " \
+            "MAX_VERTICES = 100000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_commands(self, capsys):
         assert main(["verify", "pq-lemma"]) == 0

@@ -754,9 +754,9 @@ class TestGadgetDispatchPin:
 
     @pytest.mark.parametrize("n_vars, clauses, n, solvable, nodes, passes, "
                              "images_sha256", [
-        (4, [(0, 1, 2), (1, 2, 3), (0, 1, 3)], 946, True, 2, 5148,
+        (4, [(0, 1, 2), (1, 2, 3), (0, 1, 3)], 946, True, 2, 7872,
          "8c660a870c919484f2b0d37c77f5cb00b14d2381a1f94fb92f45bd181dfad653"),
-        (5, list(combinations(range(5), 3)), 2181, False, 15, 39569, None),
+        (5, list(combinations(range(5), 3)), 2181, False, 15, 71676, None),
     ], ids=["sat", "unsat"])
     def test_nae_gadget_against_c48(self, n_vars, clauses, n, solvable,
                                     nodes, passes, images_sha256):

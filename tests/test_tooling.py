@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -151,3 +152,24 @@ def test_fresh_target_plans_its_core_and_split_in_trace():
     planned = {names[j] for j, s in enumerate(tracer.spans)
                if s[3] == d and names[j] in spans.PLAN}
     assert {"cores.core", "graphs.split_colours"} <= planned
+
+
+def test_traced_solve_reports_the_outcome_revisions():
+    # solver.ac_passes and the per-pass metrics built on it read the
+    # passes of each outer solver span, which must be the engine's count.
+    spans = _load("spans")
+    k3 = plain(3, [(0, 1), (1, 2), (0, 2)], "k")
+    src = random_of_degree(random.Random(5), 30, 4.6)
+    tracer = spans.Tracer()
+    tracer.install()
+    start = time.perf_counter()
+    try:
+        out = trophom.solve_trop_hom(src, k3)
+    finally:
+        tracer.uninstall()
+    stats = spans.LayerStats()
+    stats.feed(tracer.dump(time.perf_counter() - start))
+    metrics = stats.metrics()
+    assert not stats.problems
+    assert metrics["solver.nodes"] == out.nodes
+    assert metrics["solver.ac_passes"] == out.passes > 0
