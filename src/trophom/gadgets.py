@@ -224,6 +224,14 @@ def _min_half_order(palette: str) -> int:
 _EXTRA_ORDER = (2, 4, 5, 0, 3, 1)
 
 
+def _check_order(order: int, what: str):
+    """Refuse a gadget of more than formats.MAX_VERTICES vertices before
+    any of it is built."""
+    if order > formats.MAX_VERTICES:
+        raise InputError(f"{what} would have {order} vertices, past the cap "
+                         f"MAX_VERTICES = {formats.MAX_VERTICES}")
+
+
 def _arc_extras(palette: str, k: Optional[int]) -> list:
     """Extra vertices per cycle arc for half-order k; None means the
     smallest half-order the palette allows."""
@@ -232,6 +240,7 @@ def _arc_extras(palette: str, k: Optional[int]) -> list:
         k = k0
     if k < k0:
         raise InputError(f"cycle half-order must be at least {k0}")
+    _check_order(2 * k, f"the cycle of half-order {k}")
     units = k - k0
     extras = [0] * 6
     for i in range(units):
@@ -361,12 +370,9 @@ def nae3sat_to_c48(f: NaeFormula, palette: str = "four",
     The instance grows with the cube of the variable count, so one past
     formats.MAX_VERTICES vertices raises InputError before it is built.
     """
-    order = _c48_order(comb(f.n_vars, 2), comb(f.n_vars, 3), len(f.clauses),
-                       palette, k)
-    if order > formats.MAX_VERTICES:
-        raise InputError(f"the instance of {f.n_vars} variables would have "
-                         f"{order} vertices, past the cap MAX_VERTICES = "
-                         f"{formats.MAX_VERTICES}")
+    _check_order(_c48_order(comb(f.n_vars, 2), comb(f.n_vars, 3),
+                            len(f.clauses), palette, k),
+                 f"the instance of {f.n_vars} variables")
     return _c48_instance(list(combinations(range(f.n_vars), 2)),
                          list(combinations(range(f.n_vars), 3)),
                          f.clauses, palette, k)
@@ -551,10 +557,21 @@ def _zigzag_sides(h: TropicalGraph) -> tuple:
 
 
 def _white_with_tails(g: TropicalGraph, prefix: str, tails_a: Sequence,
-                      tails_b: Sequence, l: int, k: int) -> _Builder:
+                      tails_b: Sequence, l: int, k: int,
+                      full_tails: Sequence = ()) -> _Builder:
     """An all-White copy of g (vertex v named prefix + v) with a P_i tail
-    glued at its rightmost vertex to tails_a[i - 1] and a Q_j tail glued at
-    its leftmost vertex to tails_b[j - 1]."""
+    glued at its rightmost vertex to tails_a[i - 1], a Q_j tail glued at
+    its leftmost vertex to tails_b[j - 1], and a full P tail glued at its
+    rightmost vertex to each vertex of full_tails.
+
+    The tails grow with the square of the side sizes, so a result past
+    formats.MAX_VERTICES vertices raises InputError before it is built.
+    """
+    # A tail of n runs has 4n - 6 vertices, two fewer with a short run,
+    # and shares its glued end with g.
+    order = (g.n + len(tails_a) * (4 * l - 9) + len(tails_b) * (4 * k - 9)
+             + len(full_tails) * (4 * l - 7))
+    _check_order(order, f"the zig-zag graph of a {g.n}-vertex input")
     b = _Builder()
     for v in range(g.n):
         b.add("W", name=f"{prefix}{v}")
@@ -564,6 +581,9 @@ def _white_with_tails(g: TropicalGraph, prefix: str, tails_a: Sequence,
         b.weave(_runs_colours(l, "W", i), end=a)
     for j, bb in enumerate(tails_b, start=1):
         b.weave(_runs_colours(k, "B", j), start=bb)
+    for v in full_tails:
+        b.weave(_runs_colours(l, "W", None), end=v)
+    assert len(b.colours) == order
     return b
 
 
@@ -612,9 +632,8 @@ def transform_retraction_instance(g: TropicalGraph, h: TropicalGraph,
 
     embedded_a = [embedding[a] for a in side_a]
     b = _white_with_tails(g, "g", embedded_a,
-                          [embedding[bb] for bb in side_b], l, k)
-    for v in sorted(part_a - set(embedded_a)):
-        b.weave(_runs_colours(l, "W", None), end=v)
+                          [embedding[bb] for bb in side_b], l, k,
+                          sorted(part_a - set(embedded_a)))
     return b.build()
 
 

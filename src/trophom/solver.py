@@ -18,7 +18,10 @@ each variable watches the neighbours it supports, grouped by relation.
 A revision is one AND with a memoised support: each relation keeps a dict
 from the mask of the partner's domain to the mask of values that have a
 compatible value in it, filled on a miss, so one lookup serves a whole
-group (every neighbour, on an undirected network).  A target's adjacency
+group (every neighbour, on an undirected network).  A support equal to
+every value prunes nothing, so its group is skipped on pop, and a variable
+whose own support is full is not queued when it shrinks (against K3, any
+domain of two or more values).  A target's adjacency
 relation is kept on the target object with its memo, so every solve
 against one target shares the supports earlier solves found; the memo
 starts over once it holds more than _SUPPORTS_BOUND masks.  There is no
@@ -76,14 +79,16 @@ class _Supports(dict):
     rows[a] is the mask of values of v compatible with u = a.  The dict
     maps a mask of v's domain to the mask of values of u with at least one
     compatible value in it, filled on a miss.  The memo lives with the
-    relation, which one _Csp owns or a target keeps (_relation_of).
+    relation, which one _Csp owns or a target keeps (_relation_of).  full
+    is the mask of every value of u: a support equal to it prunes nothing.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "full")
 
     def __init__(self, rows):
         super().__init__()
         self.rows = tuple(rows)
+        self.full = (1 << len(self.rows)) - 1
 
     @classmethod
     def of(cls, rel) -> "_Supports":
@@ -119,9 +124,12 @@ class _Csp:
     watch[v] lists the variables to revise when v's domain shrinks,
     grouped by relation object: (rel, (u1, u2, ...)) in order of first u,
     each tuple ascending.  One support rel[doms[v]] serves a whole group.
+    calm[u] is the one relation of u's own groups (watch[u]), None when
+    they use several or none: while calm[u][doms[u]] is full, a shrink of
+    u can prune nothing, so u need not be queued.
     """
 
-    __slots__ = ("n", "watch")
+    __slots__ = ("n", "watch", "calm")
 
     def __init__(self, n: int, cons):
         self.n = n
@@ -139,6 +147,7 @@ class _Csp:
                 groups[v].setdefault(id(rel), (rel, []))[1].append(u)
         self.watch = [[(rel, tuple(us)) for rel, us in g.values()]
                       for g in groups]
+        self.calm = [g[0][0] if len(g) == 1 else None for g in self.watch]
 
 
 def _ac3(csp: _Csp, doms, seed=None) -> tuple:
@@ -146,11 +155,15 @@ def _ac3(csp: _Csp, doms, seed=None) -> tuple:
 
     The queue holds variables whose domain shrank.  Popping v revises each
     u in watch[v] against v: doms[u] &= rel[doms[v]], one memoised support
-    per group.  seed is the one variable to start from (a branch just
-    fixed it), every variable when None.  The count is of revisions, one
-    per (u against v) AND, up to and including a wiped-out domain.
+    per group, skipped when that support is rel.full.  A shrunk u is queued
+    unless its own support calm[u][doms[u]] is full, since popping it
+    would then revise nothing; a later shrink checks again.  seed is the
+    one variable to start from (a branch just fixed it), every variable
+    when None.  The count is of decided revisions, one per (u against v),
+    skipped ones included, up to and including a wiped-out domain.
     """
     watch = csp.watch
+    calm = csp.calm
     # A list read front to back is the FIFO queue: iteration sees the
     # variables appended behind it, and queued[v] is set while v waits.
     if seed is None:
@@ -167,16 +180,19 @@ def _ac3(csp: _Csp, doms, seed=None) -> tuple:
         dv = doms[v]
         for rel, us in watch[v]:
             s = rel[dv]
-            for u in us:
-                du = doms[u]
-                nd = du & s
-                if nd != du:
-                    if not nd:
-                        return False, passes + us.index(u) + 1
-                    doms[u] = nd
-                    if not queued[u]:
-                        push(u)
-                        queued[u] = 1
+            if s != rel.full:
+                for u in us:
+                    du = doms[u]
+                    nd = du & s
+                    if nd != du:
+                        if not nd:
+                            return False, passes + us.index(u) + 1
+                        doms[u] = nd
+                        if not queued[u]:
+                            c = calm[u]
+                            if c is None or c[nd] != c.full:
+                                push(u)
+                                queued[u] = 1
             passes += len(us)
     return True, passes
 
@@ -315,6 +331,7 @@ def _undirected_csp(source: TropicalGraph, rel: _Supports) -> _Csp:
     csp = _Csp.__new__(_Csp)
     csp.n = source.n
     csp.watch = [[(rel, tuple(sorted(vs)))] if vs else [] for vs in partners]
+    csp.calm = [rel] * source.n
     return csp
 
 

@@ -317,6 +317,37 @@ class TestCli:
             "MAX_VERTICES = 100000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zigzag_past_the_cap_is_refused_before_it_is_built(
+            self, tmp_path, capsys):
+        # The zig-zag graph grows with the square of its input's order:
+        # 115 disjoint edges give l = 117, k = 118 and 230 + 115 * 459 +
+        # 115 * 463 vertices.
+        h = plain(230, [(2 * i, 2 * i + 1) for i in range(115)])
+        out = tmp_path / "z.tg"
+        assert main(["gadget", "zigzag", "--graph",
+                     self.tg(tmp_path, "h.tg", h), "--out", str(out)]) == 2
+        assert "the zig-zag graph of a 230-vertex input would have 106260 " \
+            "vertices, past the cap MAX_VERTICES = 100000" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_half_order_past_the_cap_is_refused(self, tmp_path, capsys):
+        # Every --k reaches _arc_extras, which refuses before its loop of
+        # one step per unit of half-order.
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        out = tmp_path / "g.tg"
+        for args in (["gadget", "c48", "--out", str(out)],
+                     ["gadget", "nae3sat", "--cnf", str(cnf),
+                      "--out", str(out)],
+                     ["verify", "roundtrip", "--kind", "nae3sat",
+                      "--cnf", str(cnf)]):
+            assert main(args + ["--k", "100000000"]) == 2
+            assert "the cycle of half-order 100000000 would have " \
+                "200000000 vertices, past the cap MAX_VERTICES = 100000" \
+                in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_commands(self, capsys):
         assert main(["verify", "pq-lemma"]) == 0
         assert main(["verify", "c48-claim", "--json"]) == 0

@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 from trophom import (InputError, bipartition, colour_lists,
-                     connected_components, enumerate_homs, is_core, plain,
-                     solve_digraph_hom, solve_list_hom, solve_retraction,
-                     solve_trop_hom, dgraph, tgraph)
+                     connected_components, enumerate_homs, formats, gadgets,
+                     is_core, plain, solve_digraph_hom, solve_list_hom,
+                     solve_retraction, solve_trop_hom, dgraph, tgraph)
 from trophom.gadgets import (PALETTES, build_c48, build_h9,
                              build_pair_gadget, build_pq_path, build_s_block,
                              build_triple_gadget, build_zigzag_gadget,
@@ -139,6 +139,14 @@ class TestC48:
             build_c48("four", 23)
         with pytest.raises(InputError):
             build_c48("two", 26)
+
+    def test_half_order_cap_admits_exactly_max_vertices(self, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_VERTICES", 50)
+        assert build_c48("four", 25).graph.n == 50
+        with pytest.raises(InputError, match="the cycle of half-order 26 "
+                           "would have 52 vertices, past the cap "
+                           "MAX_VERTICES = 50"):
+            build_c48("four", 26)
 
     def test_default_half_order_follows_palette(self):
         assert build_c48("two").graph.n == 54
@@ -403,6 +411,24 @@ class TestZigzagGadget:
         want = solve_retraction(g, h, {0: 0, 1: 1, 2: 2}).solvable
         got = solve_trop_hom(inst.graph, target.graph).solvable
         assert got == want
+
+    def test_order_cap_is_checked_before_building(self, monkeypatch):
+        # The far-side case above builds 47 vertices, its target 32.
+        h = plain(3, [(0, 1), (1, 2)])
+        g = plain(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        embedding = {0: 0, 1: 1, 2: 2}
+        monkeypatch.setattr(formats, "MAX_VERTICES", 47)
+        assert transform_retraction_instance(g, h, embedding).graph.n == 47
+        assert build_zigzag_gadget(h).graph.n == 32
+        monkeypatch.setattr(formats, "MAX_VERTICES", 46)
+        monkeypatch.setattr(gadgets, "_Builder", None)
+        with pytest.raises(InputError, match="the zig-zag graph of a "
+                           "5-vertex input would have 47 vertices, past "
+                           "the cap MAX_VERTICES = 46"):
+            transform_retraction_instance(g, h, embedding)
+        monkeypatch.setattr(formats, "MAX_VERTICES", 31)
+        with pytest.raises(InputError, match="would have 32 vertices"):
+            build_zigzag_gadget(h)
 
     def test_out_of_range_embedding_names_the_range(self):
         h = plain(3, [(0, 1), (1, 2)])

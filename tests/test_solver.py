@@ -390,11 +390,12 @@ def _sets(masks):
 class TestArcConsistencyFixpoint:
     """The AC fixpoint is unique, so the variable queue of _ac3 must reach
     the fixpoint that revising every arc until nothing changes reaches,
-    whatever order it revises in.  This is what lets a queue change move
-    only the revision count."""
+    whatever order it revises in, and whatever revisions it skips because
+    their support is full.  This is what lets a queue change move only the
+    revision count."""
 
     @staticmethod
-    def _check(csp, arcs, doms, rng):
+    def _check(csp, arcs, doms, rng, every_branch=False):
         want = _naive_ac(arcs, _sets(doms))
         got = list(doms)
         ok, passes = solver._ac3(csp, got)
@@ -405,21 +406,35 @@ class TestArcConsistencyFixpoint:
             return 0
         assert _sets(got) == want
         # Fix one variable to one of its values and restart from it alone,
-        # as a branch of the search does.
-        var = rng.randrange(len(got))
-        vals = sorted(want[var])
-        fixed = list(got)
-        fixed[var] = 1 << rng.choice(vals)
-        want = _naive_ac(arcs, _sets(fixed))
-        ok, _ = solver._ac3(csp, fixed, var)
-        assert ok == (want is not None)
-        if ok:
-            assert _sets(fixed) == want
+        # as a branch of the search does: one at random, or every variable
+        # to every value of its domain.
+        if every_branch:
+            branches = [(var, a) for var, vals in enumerate(want)
+                        for a in sorted(vals)]
+        else:
+            var = rng.randrange(len(got))
+            branches = [(var, rng.choice(sorted(want[var])))]
+        for var, a in branches:
+            fixed = list(got)
+            fixed[var] = 1 << a
+            want = _naive_ac(arcs, _sets(fixed))
+            ok, _ = solver._ac3(csp, fixed, var)
+            assert ok == (want is not None)
+            if ok:
+                assert _sets(fixed) == want
         return 1
 
     @staticmethod
     def _domains(rng, n, k):
         return [rng.randrange(1, 1 << k) for _ in range(n)]
+
+    @staticmethod
+    def _full_at_root(csp, doms):
+        """Whether some support of the root domains covers every value, so
+        that _ac3 skips that revision."""
+        return any(rel[doms[v]] == rel.full
+                   for v, watched in enumerate(csp.watch)
+                   for rel, _ in watched)
 
     def test_undirected_networks_with_random_lists(self):
         rng = random.Random(2024)
@@ -440,6 +455,30 @@ class TestArcConsistencyFixpoint:
                                       self._domains(rng, source.n, k), rng)
         assert 30 < consistent < 270
 
+    def test_undirected_networks_against_dense_targets(self):
+        # Against a complete or nearly complete target most supports are
+        # full, so most revisions are skipped and most shrinks not queued.
+        rng = random.Random(515)
+        consistent = skipped = 0
+        for i in range(300):
+            k = rng.randint(2, 5)
+            pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            dropped = set(rng.sample(pairs, min(len(pairs) - 1,
+                                                rng.randint(0, 2))))
+            target = plain(k, [e for e in pairs if e not in dropped])
+            source = random_tropical(rng, 9, ["x"], edge_prob=rng.random())
+            both = {(a, b) for a, b in target.edges} | \
+                {(b, a) for a, b in target.edges}
+            arcs = [(u, v, both) for a, b in source.edges
+                    for u, v in ((a, b), (b, a))]
+            csp = solver._undirected_csp(source,
+                                         solver._Supports.of(target.adjacency))
+            doms = [(1 << k) - 1] * source.n if i % 2 else \
+                self._domains(rng, source.n, k)
+            skipped += self._full_at_root(csp, doms)
+            consistent += self._check(csp, arcs, doms, rng, every_branch=True)
+        assert consistent > 150 and skipped > 150
+
     def test_digraphs_with_two_cycles(self):
         rng = random.Random(77)
         consistent = merged = 0
@@ -457,22 +496,70 @@ class TestArcConsistencyFixpoint:
                                       self._domains(rng, n1, n2), rng)
         assert 30 < consistent < 270 and merged > 100
 
+    def test_digraphs_against_dense_targets(self):
+        # Complete digraphs less a random 10-60% of their arcs: the out-
+        # and in-relations differ, and one is full on domains where the
+        # other is not.  A shrunk variable may go unqueued only when the
+        # relation of its own watch groups is full; a variable with both
+        # in- and out-arcs watches under both and is always queued.
+        rng = random.Random(4096)
+        consistent = skipped = mixed = 0
+        for _ in range(300):
+            n1, n2 = rng.randint(3, 8), rng.randint(3, 7)
+            a1 = {(u, v) for u in range(n1) for v in range(n1)
+                  if u != v and rng.random() < 0.3}
+            density = rng.uniform(0.4, 0.9)
+            a2 = {(a, b) for a in range(n2) for b in range(n2)
+                  if a != b and rng.random() < density}
+            d1, d2 = dgraph(n1, a1), dgraph(n2, a2)
+            # One joint relation per ordered pair, as the engine merges
+            # them on a source 2-cycle.
+            back = {(b, a) for a, b in a2}
+            joint: dict = {}
+            for u, v in a1:
+                for key, pairs in (((u, v), a2), ((v, u), back)):
+                    joint[key] = joint.get(key, pairs) & pairs
+            arcs = [(u, v, pairs) for (u, v), pairs in joint.items()]
+            csp = solver._digraph_csp(d1, d2)
+            doms = self._domains(rng, n1, n2)
+            skipped += self._full_at_root(csp, doms)
+            out_rel = solver._Supports.of(d2.out_adjacency)
+            in_rel = solver._Supports.of(d2.in_adjacency)
+            mixed += any((out_rel[d] == out_rel.full) !=
+                         (in_rel[d] == in_rel.full) for d in doms)
+            consistent += self._check(csp, arcs, doms, rng, every_branch=True)
+        assert consistent > 100 and skipped > 100 and mixed > 100
+
+    def test_full_domains_against_k3_revise_each_pair_once(self):
+        # Every domain of two or more values supports all of K3, so the
+        # root pops each variable once, skips all its revisions and
+        # queues nothing.
+        k3 = plain(3, [(0, 1), (1, 2), (0, 2)])
+        source = random_of_degree(random.Random(5), 30, 4.6)
+        csp = solver._undirected_csp(source, solver._Supports.of(k3.adjacency))
+        doms = [0b111] * source.n
+        assert solver._ac3(csp, doms) == (True, 2 * len(source.edges))
+        assert doms == [0b111] * source.n
+
 
 class TestEnginePin:
     """Exact search records of fixed instances.  Witnesses and node counts
     are those of the set-based engine that the bitmask engine replaced;
-    revision counts are those of the variable queue.  The AC fixpoint is
-    unique, so a change of queue discipline shows up here only in the
-    revision count; a change to the branching rule or the value order
-    shows up as a different witness or node count."""
+    revision counts are those of the variable queue, where a revision
+    against a support that covers every value is counted but not
+    performed, and a variable whose own support covers every value is not
+    queued.  The AC fixpoint is unique, so a change of queue discipline
+    shows up here only in the revision count; a change to the branching
+    rule or the value order shows up as a different witness or node
+    count."""
 
     K3 = plain(3, [(0, 1), (1, 2), (0, 2)], "k")
 
     @pytest.mark.parametrize("seed, solvable, images, nodes, passes", [
-        (5, True, "022010111102021212220011200122", 10, 612),
-        (11, True, "021100100120020220021120211210", 7, 471),
-        (2, False, None, 141, 6687),
-        (6, False, None, 405, 17004),
+        (5, True, "022010111102021212220011200122", 10, 400),
+        (11, True, "021100100120020220021120211210", 7, 342),
+        (2, False, None, 141, 3987),
+        (6, False, None, 405, 10353),
     ], ids=["seed5", "seed11", "seed2", "seed6"])
     def test_three_colouring_at_threshold(self, seed, solvable, images,
                                           nodes, passes):
