@@ -13,7 +13,7 @@ lines, which re-parse losslessly.
 
 Every parser refuses a graph past MAX_VERTICES vertices or MAX_EDGES edges
 (arcs) before building anything for it: a header line, a DIMACS variable
-count or a list vertex index past a cap raises InputError.
+count or a list vertex index past a cap, or below 0, raises InputError.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ def _header(records, kind: str, counted: str) -> tuple:
 
 
 def _capped(ln: int, value: int, what: str, edges: bool = False) -> int:
-    """value, unless it is past the vertex cap (the edge cap with edges)."""
+    """value, unless it is negative or past the vertex cap (the edge cap
+    with edges)."""
     cap, name = (MAX_EDGES, "MAX_EDGES") if edges else \
         (MAX_VERTICES, "MAX_VERTICES")
+    if value < 0:
+        raise InputError(f"line {ln}: {what} {value} is negative")
     if value > cap:
         raise InputError(f"line {ln}: {what} {value} is past the cap "
                          f"{name} = {cap}")
@@ -200,6 +203,8 @@ def parse_lists(text: str) -> dict:
         if row[0] != "l" or len(row) < 2:
             raise InputError(f"line {ln}: expected 'l <vertex> <values...>'")
         v = _int(ln, row[1], "vertex")
+        if v < 0:
+            raise InputError(f"line {ln}: vertex {v} is negative")
         if v >= MAX_VERTICES:
             raise InputError(f"line {ln}: vertex {v} is past the cap "
                              f"MAX_VERTICES = {MAX_VERTICES}")

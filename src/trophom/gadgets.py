@@ -37,6 +37,8 @@ class CnfFormula:
     clauses: tuple
 
     def __post_init__(self):
+        if self.n_vars < 0:
+            raise InputError("variable count must be nonnegative")
         for cl in self.clauses:
             if not cl:
                 raise InputError("empty clause")
@@ -54,6 +56,8 @@ class NaeFormula:
     clauses: tuple
 
     def __post_init__(self):
+        if self.n_vars < 0:
+            raise InputError("variable count must be nonnegative")
         for cl in self.clauses:
             if len(cl) != 3 or len(set(cl)) != 3:
                 raise InputError(

@@ -164,6 +164,8 @@ class Digraph:
     arcs: frozenset
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InputError("vertex count must be nonnegative")
         for a in self.arcs:
             u, v = a
             if u == v:

@@ -138,7 +138,8 @@ class TwoSatFormula:
 
 
 def two_sat(n_vars: int, clauses) -> TwoSatFormula:
-    return TwoSatFormula(n_vars, tuple(tuple(lit) for lit in map(tuple, clauses)))
+    return TwoSatFormula(n_vars,
+                         tuple(tuple(map(tuple, cl)) for cl in clauses))
 
 
 def solve_2sat(f: TwoSatFormula) -> Optional[list]:
@@ -375,26 +376,18 @@ def _nbr_colours(target: TropicalGraph) -> tuple:
                  for v in range(target.n))
 
 
-# The checks below take the tables above from a caller that tests many
-# vertices or edges of one target, and build them when called alone.
-
-
-def _is_type2(target: TropicalGraph, edge, pair_counts=None) -> bool:
+def _is_type2(target: TropicalGraph, edge, pair_counts: Counter) -> bool:
     a, b = edge
     ca, cb = target.colours[a], target.colours[b]
     if ca == cb:
         # The elimination pins the two endpoints to the two ends of this
         # edge; with equal colours that orientation is ill-defined.
         return False
-    if pair_counts is None:
-        pair_counts = _colour_pair_counts(target)
     others = pair_counts[frozenset((ca, cb))] - (edge in target.edges)
     return others == 0
 
 
-def _is_type3(target: TropicalGraph, u: int, ncol=None) -> bool:
-    if ncol is None:
-        ncol = _nbr_colours(target)
+def _is_type3(target: TropicalGraph, u: int, ncol: tuple) -> bool:
     if len(ncol[u]) != 1:
         return False
     (s_colour,) = ncol[u]
@@ -405,10 +398,8 @@ def _is_type3(target: TropicalGraph, u: int, ncol=None) -> bool:
 
 
 def _is_type4(target: TropicalGraph, u: int, forcing: frozenset,
-              ncol=None) -> bool:
+              ncol: tuple) -> bool:
     """forcing is forcing_vertices(target), computed once by the caller."""
-    if ncol is None:
-        ncol = _nbr_colours(target)
     mine = ncol[u]
     if not mine:
         # an isolated vertex would be deleted with no pendant replacing it
@@ -472,10 +463,9 @@ def _disjoint_features(fs: FeatureSet, target: TropicalGraph) -> FeatureSet:
 
 
 def _validate_features(target: TropicalGraph, s: FeatureSet):
-    # Build only the tables the given kinds need: the dispatcher validates
-    # a small feature set on every source it reduces.
-    pairs = _colour_pair_counts(target) if s.type2 else None
-    ncol = _nbr_colours(target) if s.type3 or s.type4 else None
+    pairs = _colour_pair_counts(target)
+    ncol = _nbr_colours(target)
+    forcing = forcing_vertices(target)
     for u in s.type1:
         if not _is_type1(target, u):
             raise InputError(f"vertex {u} is not a type-1 feature")
@@ -486,11 +476,9 @@ def _validate_features(target: TropicalGraph, s: FeatureSet):
     for u in s.type3:
         if not _is_type3(target, u, ncol):
             raise InputError(f"vertex {u} is not a type-3 feature")
-    if s.type4:
-        forcing = forcing_vertices(target)
-        for u in s.type4:
-            if not _is_type4(target, u, forcing, ncol):
-                raise InputError(f"vertex {u} is not a type-4 feature")
+    for u in s.type4:
+        if not _is_type4(target, u, forcing, ncol):
+            raise InputError(f"vertex {u} is not a type-4 feature")
     if _disjoint_features(s, target) != s:
         raise InputError("feature vertex sets must be pairwise disjoint, "
                          "and no type-4 vertex may border another deleted "

@@ -112,18 +112,18 @@ def _mask(values) -> int:
 
 
 class _Csp:
-    """Binary constraint network over dense integer variables.
+    """Binary constraint network over dense integer variables, given by
+    its watch lists.
 
     A search takes the domains separately: entry u of its list is an int
-    whose bit a is set when value a is allowed for u.  cons[u] lists
-    (v, rel) pairs with rel a _Supports, the constraint that revises u
-    against v.  Constraints are stored in both directions, and several
-    relations on the same ordered pair (a digraph 2-cycle, say) are merged
-    by intersection since one joint assignment must satisfy them all.
+    whose bit a is set when value a is allowed for u.  watch[v] lists the
+    variables to revise when v's domain shrinks, one group per relation
+    object: (rel, (u1, u2, ...)) in order of first u, each tuple ascending,
+    with rel a _Supports whose rows[a] is the mask of v's values compatible
+    with u = a.  One support rel[doms[v]] serves a whole group.  The
+    builder states each ordered pair (u, v) once, under the joint relation
+    of all its constraints.
 
-    watch[v] lists the variables to revise when v's domain shrinks,
-    grouped by relation object: (rel, (u1, u2, ...)) in order of first u,
-    each tuple ascending.  One support rel[doms[v]] serves a whole group.
     calm[u] is the one relation of u's own groups (watch[u]), None when
     they use several or none: while calm[u][doms[u]] is full, a shrink of
     u can prune nothing, so u need not be queued.
@@ -131,23 +131,10 @@ class _Csp:
 
     __slots__ = ("n", "watch", "calm")
 
-    def __init__(self, n: int, cons):
-        self.n = n
-        # Per v: id(rel) -> (rel, [u, ...]); _Supports is a dict, so it
-        # cannot key a dict itself, and every rel here stays referenced.
-        groups: list = [{} for _ in range(n)]
-        for u, pairs in enumerate(cons):
-            by_partner: dict = {}
-            for v, rel in pairs:
-                old = by_partner.get(v)
-                if old is not None and old is not rel:
-                    rel = _Supports(map(int.__and__, old.rows, rel.rows))
-                by_partner[v] = rel
-            for v, rel in by_partner.items():
-                groups[v].setdefault(id(rel), (rel, []))[1].append(u)
-        self.watch = [[(rel, tuple(us)) for rel, us in g.values()]
-                      for g in groups]
-        self.calm = [g[0][0] if len(g) == 1 else None for g in self.watch]
+    def __init__(self, watch: list):
+        self.n = len(watch)
+        self.watch = watch
+        self.calm = [g[0][0] if len(g) == 1 else None for g in watch]
 
 
 def _ac3(csp: _Csp, doms, seed=None) -> tuple:
@@ -320,19 +307,13 @@ def _relation_of(target: TropicalGraph) -> _Supports:
 
 
 def _undirected_csp(source: TropicalGraph, rel: _Supports) -> _Csp:
-    """The network of source's edges, every arc under rel: the _Csp that
-    one constraint per edge and direction would give, built without the
-    merge, since a simple graph has one edge per pair.  Each vertex with
-    neighbours watches them in one group."""
+    """The network of source's edges, every arc under rel: each vertex
+    with neighbours watches them in one group."""
     partners = [[] for _ in range(source.n)]
     for u, v in source.edges:
         partners[u].append(v)
         partners[v].append(u)
-    csp = _Csp.__new__(_Csp)
-    csp.n = source.n
-    csp.watch = [[(rel, tuple(sorted(vs)))] if vs else [] for vs in partners]
-    csp.calm = [rel] * source.n
-    return csp
+    return _Csp([[(rel, tuple(sorted(vs)))] if vs else [] for vs in partners])
 
 
 def colour_lists(source: TropicalGraph, target: TropicalGraph) -> dict:
@@ -383,14 +364,22 @@ def solve_trop_hom(source: TropicalGraph,
 
 def _digraph_csp(d1: Digraph, d2: Digraph) -> _Csp:
     """The network of d1's arcs: an arc u -> v asks for an arc of d2 from
-    u's value to v's, and a 2-cycle of d1 merges two relations."""
+    u's value to v's.  u is revised against v under out_rel when d1 has
+    only u -> v, under in_rel when it has only v -> u, and under their
+    intersection when it has both, since one joint assignment must satisfy
+    a 2-cycle's two arcs; every 2-cycle shares that relation and its memo."""
     out_rel = _Supports.of(d2.out_adjacency)
     in_rel = _Supports.of(d2.in_adjacency)
-    cons = [[] for _ in range(d1.n)]
-    for u, v in d1.arcs:
-        cons[u].append((v, out_rel))
-        cons[v].append((u, in_rel))
-    return _Csp(d1.n, cons)
+    both = _Supports(map(int.__and__, out_rel.rows, in_rel.rows))
+    # Keyed by 1 for u -> v alone, 2 for v -> u alone, 3 for both.
+    rels = (None, out_rel, in_rel, both)
+    arcs = d1.arcs
+    groups: list = [{} for _ in range(d1.n)]
+    for u, v in sorted(arcs | {(v, u) for u, v in arcs}):
+        key = ((u, v) in arcs) + 2 * ((v, u) in arcs)
+        groups[v].setdefault(key, []).append(u)
+    return _Csp([[(rels[key], tuple(us)) for key, us in g.items()]
+                 for g in groups])
 
 
 def solve_digraph_hom(d1: Digraph, d2: Digraph) -> SolveOutcome:

@@ -15,7 +15,7 @@ from trophom.formats import (parse_digraph, parse_dimacs, parse_gadget,
                              parse_lists, parse_tropical, serialize_digraph,
                              serialize_gadget, serialize_lists,
                              serialize_tropical)
-from trophom.gadgets import build_h9
+from trophom.gadgets import CnfFormula, NaeFormula, build_h9
 
 
 class TestTropicalFormat:
@@ -201,6 +201,39 @@ def test_caps_admit_a_graph_of_exactly_their_size(monkeypatch):
             parse(text)
 
 
+def test_models_refuse_negative_counts():
+    for build in (lambda: trophom.Digraph(-1, frozenset()),
+                  lambda: CnfFormula(-1, ()),
+                  lambda: NaeFormula(-1, ())):
+        with pytest.raises(InputError, match="must be nonnegative"):
+            build()
+
+
+# A file with a negative count or vertex index, and a command that reads
+# it: "{input}" is that file, "{graph}" an edge and "{out}" an output path.
+NEGATIVE = [
+    pytest.param("dg -3 0\n", ["gadget", "tropicalize", "--in", "{input}",
+                               "--out", "{out}"], id="dg-vertices"),
+    pytest.param("dg 2 -1\n", ["gadget", "tropicalize", "--in", "{input}",
+                               "--out", "{out}"], id="dg-arcs"),
+    pytest.param("tg -1 0\n", ["core", "--in", "{input}", "--out", "{out}"],
+                 id="tg-vertices"),
+    pytest.param("p cnf -1 0\n", ["gadget", "nae3sat", "--cnf", "{input}",
+                                  "--out", "{out}"], id="cnf-variables"),
+    pytest.param("p cnf -1 0\n", ["verify", "roundtrip", "--kind",
+                                  "nae3sat", "--cnf", "{input}"],
+                 id="cnf-variables-roundtrip"),
+    pytest.param("p cnf 3 -1\n", ["gadget", "nae3sat", "--cnf", "{input}",
+                                  "--out", "{out}"], id="cnf-clauses"),
+    pytest.param("l -1 2 3\n", ["enumerate", "--source", "{graph}",
+                                "--target", "{graph}", "--limit", "1",
+                                "--lists", "{input}"], id="lists-enumerate"),
+    pytest.param("l -1 2 3\n", ["gadget", "h9-instance", "--source",
+                                "{graph}", "--lists", "{input}",
+                                "--out", "{out}"], id="lists-h9-instance"),
+]
+
+
 class TestCli:
     def tg(self, tmp_path, name, graph):
         path = tmp_path / name
@@ -347,6 +380,18 @@ class TestCli:
                 "200000000 vertices, past the cap MAX_VERTICES = 100000" \
                 in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, args", NEGATIVE)
+    def test_negative_counts_are_refused(self, tmp_path, capsys, text, args):
+        (tmp_path / "input").write_text(text)
+        fill = {"input": str(tmp_path / "input"),
+                "graph": self.tg(tmp_path, "g.tg", plain(2, [(0, 1)])),
+                "out": str(tmp_path / "out.tg")}
+        before = sorted(tmp_path.iterdir())
+        assert main([a.format(**fill) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is negative" in err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_verify_commands(self, capsys):
         assert main(["verify", "pq-lemma"]) == 0

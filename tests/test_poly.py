@@ -128,6 +128,11 @@ class TestTwoSat:
         f = two_sat(1, [((0, True), (0, True)), ((0, False), (0, False))])
         assert solve_2sat(f) is None
 
+    def test_list_literals_are_normalised(self):
+        lists = two_sat(2, [[[0, True], [1, False]]])
+        tuples = two_sat(2, [((0, True), (1, False))])
+        assert lists == tuples and hash(lists) == hash(tuples)
+
     def test_exhaustive_two_variables(self):
         clauses = all_clauses(2)
         for r in range(len(clauses) + 1):
@@ -184,6 +189,23 @@ class TestSolveViaPairs:
             solve_via_pairs(src, target, [(0, 2, 4)], {0: 0})
         with pytest.raises(InputError, match="mentions vertex 6"):
             solve_via_pairs(src, target, [(0, 6)], {0: 0})
+
+    def test_set_with_no_member_of_the_colour_refutes(self):
+        # Mixed-colour set (a, b): a source vertex of colour c has no
+        # member it may map to.
+        target = tgraph(2, [], ["a", "b"])
+        src = plain(1, [], colour="c")
+        assert not solve_via_pairs(src, target, [(0, 1)], {0: 0}).solvable
+        assert not trop_hom_brute(src, target)
+
+    def test_second_member_alone_gives_a_negative_unit_clause(self):
+        # Only the second member of (a, b) wears the vertex's colour b, so
+        # the vertex is held FALSE, and maps onto it.
+        target = tgraph(2, [], ["a", "b"])
+        src = plain(1, [], colour="b")
+        out = solve_via_pairs(src, target, [(0, 1)], {0: 0})
+        assert out.solvable and out.witness == {0: 1}
+        assert validate_hom(src, target, out.witness)
 
     def test_colour_class_of_three_is_refused_every_time(self):
         target = cycle_graph(["a", "b", "a", "b", "a", "c"])
@@ -247,17 +269,19 @@ class TestDetectFeatures:
 
     def test_memberships_recheckable(self):
         rng = random.Random(12)
-        from trophom.poly import _is_type1, _is_type2, _is_type3, _is_type4
+        from trophom.poly import (_colour_pair_counts, _is_type1, _is_type2,
+                                  _is_type3, _is_type4, _nbr_colours)
         for _ in range(50):
             g = random_tropical(rng, 7, ["a", "b", "c"])
             fs = detect_features(g)
             forcing = forcing_vertices(g)
+            pairs, ncol = _colour_pair_counts(g), _nbr_colours(g)
             for u in range(g.n):
                 assert (u in fs.type1) == _is_type1(g, u)
-                assert (u in fs.type3) == _is_type3(g, u)
-                assert (u in fs.type4) == _is_type4(g, u, forcing)
+                assert (u in fs.type3) == _is_type3(g, u, ncol)
+                assert (u in fs.type4) == _is_type4(g, u, forcing, ncol)
             for e in g.edges:
-                assert (e in fs.type2) == _is_type2(g, e)
+                assert (e in fs.type2) == _is_type2(g, e, pairs)
 
 
 class TestReduceByFeatures:
@@ -372,6 +396,64 @@ class TestReduceByFeatures:
             got = solve_list_hom(red.source, red.target, red.lists).solvable
             assert got == want
         assert checked > 200
+
+
+class TestTypeFourElimination:
+    """reduce_by_features on type-4 vertices: a source vertex of u's colour
+    that sees two of the colours around u must land on u, its neighbours
+    on the one neighbour of u of their colour.  Target R-B-G, with B as
+    the type-4 vertex; PLUS adds a second B vertex that sees only a
+    type-1 Y vertex, so that a B source vertex's list is {1, 3}."""
+
+    PATH = path_graph(["R", "B", "G"])
+    PLUS = tgraph(5, [(0, 1), (1, 2), (3, 4)], ["R", "B", "G", "B", "Y"])
+    TYPE4 = FeatureSet(type4=frozenset({1}))
+
+    def test_pattern_vertex_is_pinned_and_its_neighbours_land(self):
+        src = path_graph(["R", "B", "G"])
+        red = reduce_by_features(src, self.PATH, self.TYPE4)
+        assert red.pinned == {1: 1}
+        assert red.source_to_original == (0, 2)
+        assert red.source.edges == frozenset()
+        assert [red.target_to_original[t] for v in range(2)
+                for t in red.lists[v]] == [0, 2]
+        out = poly._solve_by_features(src, self.PATH, self.TYPE4)
+        assert out.witness == {0: 0, 1: 1, 2: 2}
+
+    @pytest.mark.parametrize("src, features", [
+        # type-1 vertex 4 pins the Y neighbour, so the B vertex's list
+        # shrinks to {3}, which lacks the type-4 vertex 1
+        (tgraph(4, [(0, 1), (0, 2), (0, 3)], ["B", "R", "G", "Y"]),
+         FeatureSet(type1=frozenset({4}), type4=frozenset({1}))),
+        # two adjacent B vertices, each seeing R and G
+        (tgraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)],
+                ["B", "B", "R", "G", "R", "G"]),
+         FeatureSet(type4=frozenset({1}))),
+        # a Y neighbour of the pattern vertex: no neighbour of 1 is Y
+        (tgraph(4, [(0, 1), (0, 2), (0, 3)], ["B", "R", "G", "Y"]),
+         FeatureSet(type4=frozenset({1}))),
+    ], ids=["list-lacks-u", "adjacent-pattern", "boundary-colour"])
+    def test_refutations(self, src, features):
+        assert reduce_by_features(src, self.PLUS, features) is None
+        assert not trop_hom_brute(src, self.PLUS)
+
+    def test_status_and_witness_match_brute_force(self):
+        rng = random.Random(404)
+        pinned = refuted = 0
+        for features in (self.TYPE4,
+                         FeatureSet(type1=frozenset({4}),
+                                    type4=frozenset({1}))):
+            for _ in range(300):
+                src = random_source(rng, self.PLUS, 8)
+                want = trop_hom_brute(src, self.PLUS)
+                red = reduce_by_features(src, self.PLUS, features)
+                pinned += bool(red and 1 in red.pinned.values())
+                refuted += red is None
+                out = poly._solve_by_features(src, self.PLUS, features)
+                assert out.solvable == want
+                if want:
+                    assert validate_hom(src, self.PLUS, out.witness)
+        assert pinned > 30 and refuted > 30
 
 
 class TestDispatch:

@@ -343,25 +343,66 @@ class TestTargetRelation:
         # solves outgrew the bound, and the memo started over after them
         assert max(sizes) > 4
 
-    def test_network_matches_the_merging_build(self):
-        # _undirected_csp skips the per-vertex merge of _Csp, which a
-        # simple graph never needs; the watch lists, neighbour order
-        # included, agree.
+    def test_undirected_network_watches_neighbours_under_one_relation(self):
+        # Each vertex with neighbours watches them, ascending, in one group
+        # under the given relation, which is then its calm relation.
         rng = random.Random(1234)
         for _ in range(100):
             target = random_tropical(rng, 7, ["a"], edge_prob=0.5)
             source = random_tropical(rng, 12, ["a"], edge_prob=rng.random(),
                                      min_n=0)
             rel = solver._Supports.of(target.adjacency)
-            cons = [[] for _ in range(source.n)]
-            for u, v in source.edges:
-                cons[u].append((v, rel))
-                cons[v].append((u, rel))
-            old = solver._Csp(source.n, cons)
-            new = solver._undirected_csp(source, rel)
-            assert new.n == old.n and new.watch == old.watch
-            assert all(r is rel for watched in new.watch
-                       for r, _ in watched)
+            csp = solver._undirected_csp(source, rel)
+            assert csp.n == len(csp.watch) == source.n
+            for v, watched in enumerate(csp.watch):
+                nbrs = source.neighbours(v)
+                assert [us for _, us in watched] == ([nbrs] if nbrs else [])
+                assert all(r is rel for r, _ in watched)
+                assert csp.calm[v] is (rel if nbrs else None)
+
+
+class TestDigraphNetwork:
+    """_digraph_csp states each ordered pair of d1 once: u is revised
+    against v under the out-relation, the in-relation, or, on a 2-cycle,
+    their intersection, and each of the three is one object."""
+
+    def test_two_cycles_share_one_joint_relation(self):
+        rng = random.Random(303)
+        cycles = 0
+        for _ in range(200):
+            n1, n2 = rng.randint(1, 8), rng.randint(1, 6)
+            a1 = {(u, v) for u in range(n1) for v in range(n1)
+                  if u != v and rng.random() < 0.3}
+            a2 = {(a, b) for a in range(n2) for b in range(n2)
+                  if a != b and rng.random() < 0.5}
+            d1, d2 = dgraph(n1, a1), dgraph(n2, a2)
+            out_rows = tuple(map(solver._mask, d2.out_adjacency))
+            in_rows = tuple(map(solver._mask, d2.in_adjacency))
+            csp = solver._digraph_csp(d1, d2)
+            assert csp.n == len(csp.watch) == n1
+            by_kind: dict = {}
+            for v, watched in enumerate(csp.watch):
+                rels = [rel for rel, _ in watched]
+                assert len({id(rel) for rel in rels}) == len(rels)
+                firsts = [us[0] for _, us in watched]
+                assert firsts == sorted(firsts)
+                partners = []
+                for rel, us in watched:
+                    assert list(us) == sorted(us)
+                    for u in us:
+                        kind = ((u, v) in a1, (v, u) in a1)
+                        rows = tuple(map(int.__and__, out_rows, in_rows)) \
+                            if all(kind) else out_rows if kind[0] else in_rows
+                        assert rel.rows == rows
+                        assert by_kind.setdefault(kind, rel) is rel
+                        partners.append(u)
+                assert sorted(partners) == sorted(
+                    {u for u, w in a1 if w == v} | {w for u, w in a1
+                                                    if u == v})
+                assert csp.calm[v] is (rels[0] if len(rels) == 1 else None)
+            assert len(by_kind) <= 3
+            cycles += (True, True) in by_kind
+        assert cycles > 50
 
 
 def _naive_ac(arcs, doms):
@@ -381,6 +422,19 @@ def _naive_ac(arcs, doms):
                 doms[u] = keep
                 changed = True
     return doms
+
+
+def _joint_arcs(a1, a2):
+    """The arcs of _naive_ac for source arcs a1 against target arcs a2:
+    one joint relation per ordered pair, so a source 2-cycle's two arcs
+    constrain each direction together, as one assignment must satisfy
+    both."""
+    back = {(b, a) for a, b in a2}
+    joint: dict = {}
+    for u, v in a1:
+        for key, pairs in (((u, v), a2), ((v, u), back)):
+            joint[key] = joint.get(key, pairs) & pairs
+    return [(u, v, pairs) for (u, v), pairs in joint.items()]
 
 
 def _sets(masks):
@@ -490,18 +544,18 @@ class TestArcConsistencyFixpoint:
                   if a != b and rng.random() < 0.5}
             d1, d2 = dgraph(n1, a1), dgraph(n2, a2)
             merged += any((v, u) in a1 for u, v in a1)
-            back = {(b, a) for a, b in a2}
-            arcs = [arc for u, v in a1 for arc in ((u, v, a2), (v, u, back))]
-            consistent += self._check(solver._digraph_csp(d1, d2), arcs,
-                                      self._domains(rng, n1, n2), rng)
+            consistent += self._check(solver._digraph_csp(d1, d2),
+                                      _joint_arcs(a1, a2),
+                                      self._domains(rng, n1, n2), rng,
+                                      every_branch=True)
         assert 30 < consistent < 270 and merged > 100
 
     def test_digraphs_against_dense_targets(self):
         # Complete digraphs less a random 10-60% of their arcs: the out-
         # and in-relations differ, and one is full on domains where the
         # other is not.  A shrunk variable may go unqueued only when the
-        # relation of its own watch groups is full; a variable with both
-        # in- and out-arcs watches under both and is always queued.
+        # relation of its own watch groups is full; a variable whose groups
+        # use two or three relations is always queued.
         rng = random.Random(4096)
         consistent = skipped = mixed = 0
         for _ in range(300):
@@ -512,14 +566,7 @@ class TestArcConsistencyFixpoint:
             a2 = {(a, b) for a in range(n2) for b in range(n2)
                   if a != b and rng.random() < density}
             d1, d2 = dgraph(n1, a1), dgraph(n2, a2)
-            # One joint relation per ordered pair, as the engine merges
-            # them on a source 2-cycle.
-            back = {(b, a) for a, b in a2}
-            joint: dict = {}
-            for u, v in a1:
-                for key, pairs in (((u, v), a2), ((v, u), back)):
-                    joint[key] = joint.get(key, pairs) & pairs
-            arcs = [(u, v, pairs) for (u, v), pairs in joint.items()]
+            arcs = _joint_arcs(a1, a2)
             csp = solver._digraph_csp(d1, d2)
             doms = self._domains(rng, n1, n2)
             skipped += self._full_at_root(csp, doms)
