@@ -15,7 +15,7 @@ from typing import Optional
 from . import formats
 from .cores import core
 from .graphs import InputError, PreconditionError
-from .poly import ROUTE_FALLBACK, detect_features, dispatch_solve
+from .poly import detect_features, dispatch_solve
 from .solver import enumerate_homs, solve_trop_hom
 
 EXIT_OK = 0
@@ -47,14 +47,11 @@ def _print_witness(witness: dict):
 def _cmd_solve(args) -> int:
     source = formats.parse_tropical(_read(args.source))
     target = formats.parse_tropical(_read(args.target))
-    if args.mode == "brute":
+    if args.mode == "exact":
         out = solve_trop_hom(source, target)
         report = None
     else:
         out, report = dispatch_solve(source, target)
-        if args.mode == "poly" and ROUTE_FALLBACK in report.route:
-            print("note: no polynomial strategy applied; exact fallback "
-                  "used", file=sys.stderr)
     print(out.status)
     if args.witness and out.witness is not None:
         _print_witness(out.witness)
@@ -190,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide source -> target")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--mode", choices=("auto", "brute", "poly"),
-                   default="auto")
+    p.add_argument("--mode", choices=("auto", "exact"), default="auto")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--report", action="store_true")
     p.set_defaults(fn=_cmd_solve)
@@ -258,7 +254,3 @@ def main(argv: Optional[list] = None) -> int:
 
 def entry():  # console-script hook
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -20,6 +20,13 @@ retraction, so deleting u leaves the core unchanged up to isomorphism
 small targets it often reaches the core by itself; the retract search
 then runs only on what is left.  find_proper_retract and is_core do not
 fold: they answer for g itself.
+
+iso_check, which tells cores apart only up to isomorphism, runs on the
+same engine: it asks for an injective homomorphism between graphs of
+equal order and size, which is then an isomorphism.  Its network keeps
+each vertex to the target vertices of its (colour, degree) class and adds
+one "differs" relation inside each class, so it takes memory of order the
+sum of the squared class sizes.  This module has no search of its own.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import TropicalGraph
-from .solver import _first_solution, _mask, _Supports, _undirected_csp
+from .solver import (_Csp, _first_solution, _mask, _Supports,
+                     _undirected_csp)
 
 
 def _attempts(g: TropicalGraph, skip=frozenset()):
@@ -154,55 +162,41 @@ def core(g: TropicalGraph) -> CoreResult:
 
 
 def iso_check(g1: TropicalGraph, g2: TropicalGraph) -> bool:
-    """Colour-preserving graph isomorphism decision (exact, small inputs)."""
+    """Colour-preserving graph isomorphism decision (exact, small inputs).
+
+    Unequal orders, sizes or counts per (colour, degree) class answer
+    False at once.  Otherwise one network on the solver's engine asks for
+    an injective homomorphism g1 -> g2.  Each g1 vertex takes the g2
+    vertices of its class as its domain, watches its g1 neighbours under
+    g2's adjacency, and watches the other members of its class under one
+    shared "differs" relation.  Classes have disjoint domains, so
+    "differs" inside each class makes the map injective.  An injective homomorphism between
+    graphs of equal order and size is also a bijection on the edges, so
+    its inverse preserves edges: it is an isomorphism.  The watch lists
+    take memory of order the sum of the squared class sizes.
+    """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    profile1 = sorted((repr(g1.colours[v]), g1.degree(v)) for v in range(g1.n))
-    profile2 = sorted((repr(g2.colours[v]), g2.degree(v)) for v in range(g2.n))
-    if profile1 != profile2:
+    domain: dict = {}        # (colour, degree) -> mask of its g2 vertices
+    for w in range(g2.n):
+        key = (g2.colours[w], g2.degree(w))
+        domain[key] = domain.get(key, 0) | 1 << w
+    members: dict = {}       # (colour, degree) -> its g1 vertices
+    keys = [(g1.colours[v], g1.degree(v)) for v in range(g1.n)]
+    for v, key in enumerate(keys):
+        members.setdefault(key, []).append(v)
+    if any(len(vs) != domain.get(key, 0).bit_count()
+           for key, vs in members.items()):
         return False
-
-    # An injective edge- and colour-preserving bijection with equal edge
-    # counts hits every g2 edge, so its inverse preserves edges too.
-    candidates = []
-    for v in range(g1.n):
-        cands = [w for w in range(g2.n)
-                 if g2.colours[w] == g1.colours[v]
-                 and g2.degree(w) == g1.degree(v)]
-        if not cands:
-            return False
-        candidates.append(cands)
-
-    order = sorted(range(g1.n), key=lambda v: len(candidates[v]))
-    assigned: dict = {}
-    used = set()
-
-    def fits(v: int, w: int) -> bool:
-        for u in g1.adjacency[v]:
-            if u in assigned and not g2.has_edge(assigned[u], w):
-                return False
-        for u in assigned:
-            # non-edges must stay non-edges for a bijection to invert
-            if not g1.has_edge(v, u) and g2.has_edge(w, assigned[u]):
-                return False
-        return True
-
-    # One iterator over the remaining candidates per placed vertex; the
-    # explicit stack keeps long graphs off the recursion limit.
-    stack = [iter(candidates[order[0]])] if order else []
-    while stack:
-        v = order[len(stack) - 1]
-        if v in assigned:  # back from a dead end below v: free its image
-            used.discard(assigned.pop(v))
-        for w in stack[-1]:
-            if w not in used and fits(v, w):
-                break
-        else:
-            stack.pop()
-            continue
-        assigned[v] = w
-        used.add(w)
-        if len(stack) == g1.n:
-            return True
-        stack.append(iter(candidates[order[len(stack)]]))
-    return g1.n == 0
+    adjacent = _Supports.of(g2.adjacency)
+    differs = _Supports((1 << g2.n) - 1 ^ 1 << a for a in range(g2.n))
+    watch = []
+    for v, key in enumerate(keys):
+        # Adjacent vertices already differ, so each pair is stated once.
+        nbrs = g1.adjacency[v]
+        groups = [(adjacent, tuple(sorted(nbrs))),
+                  (differs, tuple(u for u in members[key]
+                                  if u != v and u not in nbrs))]
+        watch.append(sorted((g for g in groups if g[1]),
+                            key=lambda g: g[1][0]))
+    return _first_solution(_Csp(watch), [domain[k] for k in keys]).solvable

@@ -129,6 +129,8 @@ class TwoSatFormula:
     clauses: tuple
 
     def __post_init__(self):
+        if self.n_vars < 0:
+            raise InputError("variable count must be nonnegative")
         for cl in self.clauses:
             if len(cl) != 2:
                 raise InputError("2-SAT clauses take exactly two literals")
@@ -463,6 +465,9 @@ def _disjoint_features(fs: FeatureSet, target: TropicalGraph) -> FeatureSet:
 
 
 def _validate_features(target: TropicalGraph, s: FeatureSet):
+    for u in (*s.type1, *s.type3, *s.type4):
+        if not 0 <= u < target.n:
+            raise InputError(f"feature vertex {u} out of range")
     pairs = _colour_pair_counts(target)
     ncol = _nbr_colours(target)
     forcing = forcing_vertices(target)

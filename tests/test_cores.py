@@ -331,6 +331,22 @@ class TestIsoCheck:
                     return True
             return False
 
+        # Same order, size and (colour, degree) counts, not isomorphic,
+        # so only the search can tell; then the empty pair.
+        prism = plain(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                          (0, 3), (1, 4), (2, 5)], colour="a")
+        k33 = plain(6, [(u, v) for u in range(3) for v in range(3, 6)],
+                    colour="a")
+        two_k3 = plain(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                       colour="a")
+        fixed = [(cycle_graph(["a"] * 6), two_k3, False),
+                 (k33, prism, False),
+                 (path_graph(["a", "a", "b", "b"]),
+                  path_graph(["a", "b", "a", "b"]), False),
+                 (plain(0, []), plain(0, []), True)]
+        for g1, g2, expected in fixed:
+            assert iso_check(g1, g2) == brute_iso(g1, g2) == expected
+
         for _ in range(80):
             g1 = random_tropical(rng, 5, ["a", "b"])
             if rng.random() < 0.5:

@@ -204,7 +204,8 @@ def test_caps_admit_a_graph_of_exactly_their_size(monkeypatch):
 def test_models_refuse_negative_counts():
     for build in (lambda: trophom.Digraph(-1, frozenset()),
                   lambda: CnfFormula(-1, ()),
-                  lambda: NaeFormula(-1, ())):
+                  lambda: NaeFormula(-1, ()),
+                  lambda: trophom.TwoSatFormula(-1, ())):
         with pytest.raises(InputError, match="must be nonnegative"):
             build()
 
@@ -255,9 +256,14 @@ class TestCli:
 
     def test_solve_modes_agree(self, tmp_path, capsys):
         g = self.tg(tmp_path, "g.tg", cycle_graph(["R", "B"] * 3))
-        for mode in ("auto", "brute", "poly"):
+        for mode in ("auto", "exact"):
             assert main(["solve", "--source", g, "--target", g,
                          "--mode", mode]) == 0
+        # poly only repeated auto, and brute ran the engine, not an oracle
+        for mode in ("poly", "brute"):
+            assert main(["solve", "--source", g, "--target", g,
+                         "--mode", mode]) == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_output_deterministic(self, tmp_path, capsys):
         g = self.tg(tmp_path, "g.tg", cycle_graph(["R", "B", "G"] * 2))

@@ -297,6 +297,11 @@ class TestReduceByFeatures:
         # the colour pair of edge (0, 1) repeats on edge (2, 3)
         (tgraph(4, [(0, 1), (2, 3)], ["R", "B", "R", "B"]),
          FeatureSet(type2=frozenset({(0, 1)}))),
+        # feature vertices outside 0..n-1; -1 must not pass as vertex n-1
+        (path_graph(["R", "B", "G"]), FeatureSet(type1=frozenset({99}))),
+        (path_graph(["R", "B", "G"]), FeatureSet(type1=frozenset({-1}))),
+        (path_graph(["R", "B", "G"]), FeatureSet(type3=frozenset({3}))),
+        (path_graph(["R", "B", "G"]), FeatureSet(type4=frozenset({7}))),
     ])
     def test_invalid_feature_sets_are_rejected(self, target, features):
         src = plain(1, [], colour="R")
