@@ -3,20 +3,20 @@
 Exit codes: 0 = solvable / PASS, 1 = unsolvable / FAIL, 2 = usage or
 parse error (diagnostic on stderr).  Output is deterministic for a fixed
 invocation; witnesses print as sorted ``map <src> <tgt>`` lines.
+
+Each command imports the modules it runs inside its own function, so a
+process compiles and executes only those: ``gadget`` loads no solver,
+and ``solve`` no gadget or verifier code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
 from . import formats
-from .cores import core
 from .graphs import InputError, PreconditionError
-from .poly import detect_features, dispatch_solve
-from .solver import enumerate_homs, solve_trop_hom
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -44,24 +44,36 @@ def _print_witness(witness: dict):
         print(f"map {u} {witness[u]}")
 
 
+def _print_json(value):
+    import json
+
+    print(json.dumps(value, indent=2))
+
+
 def _cmd_solve(args) -> int:
     source = formats.parse_tropical(_read(args.source))
     target = formats.parse_tropical(_read(args.target))
     if args.mode == "exact":
+        from .solver import solve_trop_hom
+
         out = solve_trop_hom(source, target)
         report = None
     else:
+        from .poly import dispatch_solve
+
         out, report = dispatch_solve(source, target)
     print(out.status)
     if args.witness and out.witness is not None:
         _print_witness(out.witness)
     if args.report and report is not None:
-        print(json.dumps({"route": list(report.route),
-                          "notes": list(report.notes)}, indent=2))
+        _print_json({"route": list(report.route),
+                     "notes": list(report.notes)})
     return EXIT_OK if out.solvable else EXIT_NO
 
 
 def _cmd_core(args) -> int:
+    from .cores import core
+
     g = formats.parse_tropical(_read(args.input))
     result = core(g)
     _write(args.output, formats.serialize_tropical(result.graph))
@@ -71,18 +83,22 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .poly import detect_features
+
     g = formats.parse_tropical(_read(args.target))
     fs = detect_features(g)
-    print(json.dumps({
+    _print_json({
         "type1": sorted(fs.type1),
         "type2": sorted(list(e) for e in fs.type2),
         "type3": sorted(fs.type3),
         "type4": sorted(fs.type4),
-    }, indent=2))
+    })
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
+    from .solver import enumerate_homs
+
     source = formats.parse_tropical(_read(args.source))
     target = formats.parse_tropical(_read(args.target))
     lists = None
@@ -134,7 +150,7 @@ def _cmd_gadget(args) -> int:
 
 def _report_exit(report, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
     else:
         for c in report.checks:
             flag = "PASS" if c.passed else "FAIL"

@@ -31,9 +31,7 @@ sum of the squared class sizes.  This module has no search of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import TropicalGraph
+from .graphs import TropicalGraph, _Record
 from .solver import (_Csp, _first_solution, _mask, _Supports,
                      _undirected_csp)
 
@@ -79,13 +77,16 @@ def is_core(g: TropicalGraph) -> bool:
     return find_proper_retract(g) is None
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(_Record):
     """The core as an induced subgraph plus the witnessing homomorphism."""
 
-    graph: TropicalGraph
-    retained: tuple          # core index -> original vertex index
-    hom: dict                # original vertex index -> core index
+    _fields = ("graph", "retained", "hom")
+
+    def __init__(self, graph: TropicalGraph, retained: tuple, hom: dict):
+        d = self.__dict__
+        d["graph"] = graph
+        d["retained"] = retained  # core index -> original vertex index
+        d["hom"] = hom            # original vertex index -> core index
 
 
 def _fold(g: TropicalGraph) -> list:
@@ -161,6 +162,22 @@ def core(g: TropicalGraph) -> CoreResult:
         hom = {v: pos[retract[cur]] for v, cur in hom.items()}
 
 
+class _Differs(_Supports):
+    """The relation u != v, whose supports need no scan of the rows: a
+    mask of two or more values supports every value, a single value every
+    other value, and the empty mask none."""
+
+    __slots__ = ()
+
+    def __missing__(self, dv):
+        if dv & (dv - 1):
+            s = self.full
+        else:
+            s = self.full ^ dv if dv else 0
+        self[dv] = s
+        return s
+
+
 def iso_check(g1: TropicalGraph, g2: TropicalGraph) -> bool:
     """Colour-preserving graph isomorphism decision (exact, small inputs).
 
@@ -189,7 +206,7 @@ def iso_check(g1: TropicalGraph, g2: TropicalGraph) -> bool:
            for key, vs in members.items()):
         return False
     adjacent = _Supports.of(g2.adjacency)
-    differs = _Supports((1 << g2.n) - 1 ^ 1 << a for a in range(g2.n))
+    differs = _Differs((1 << g2.n) - 1 ^ 1 << a for a in range(g2.n))
     watch = []
     for v, key in enumerate(keys):
         # Adjacent vertices already differ, so each pair is stated once.

@@ -18,53 +18,54 @@ half-order follow from the palette's mark count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Mapping, Optional, Sequence
 
 from . import formats
-from .graphs import (Colour, Digraph, InputError, TropicalGraph,
+from .graphs import (Colour, Digraph, InputError, TropicalGraph, _Record,
                      bipartition, check_embedding, connected_components,
                      path_graph, tgraph)
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Record):
     """Clauses are tuples of literals; a literal is (variable, polarity)."""
 
-    n_vars: int
-    clauses: tuple
+    _fields = ("n_vars", "clauses")
 
-    def __post_init__(self):
-        if self.n_vars < 0:
+    def __init__(self, n_vars: int, clauses: tuple):
+        if n_vars < 0:
             raise InputError("variable count must be nonnegative")
-        for cl in self.clauses:
+        for cl in clauses:
             if not cl:
                 raise InputError("empty clause")
             for var, _pol in cl:
-                if not 0 <= var < self.n_vars:
+                if not 0 <= var < n_vars:
                     raise InputError(f"variable {var} out of range")
+        d = self.__dict__
+        d["n_vars"] = n_vars
+        d["clauses"] = clauses
 
 
-@dataclass(frozen=True)
-class NaeFormula:
+class NaeFormula(_Record):
     """Not-all-equal clauses: 3-tuples of pairwise distinct variables,
     no negation."""
 
-    n_vars: int
-    clauses: tuple
+    _fields = ("n_vars", "clauses")
 
-    def __post_init__(self):
-        if self.n_vars < 0:
+    def __init__(self, n_vars: int, clauses: tuple):
+        if n_vars < 0:
             raise InputError("variable count must be nonnegative")
-        for cl in self.clauses:
+        for cl in clauses:
             if len(cl) != 3 or len(set(cl)) != 3:
                 raise InputError(
                     "clauses need three pairwise distinct variables")
             for var in cl:
-                if not 0 <= var < self.n_vars:
+                if not 0 <= var < n_vars:
                     raise InputError(f"variable {var} out of range")
+        d = self.__dict__
+        d["n_vars"] = n_vars
+        d["clauses"] = clauses
 
 
 def nae_formula(n_vars: int, clauses) -> NaeFormula:
@@ -76,10 +77,13 @@ def cnf_formula(n_vars: int, clauses) -> CnfFormula:
                       tuple(tuple(tuple(lit) for lit in cl) for cl in clauses))
 
 
-@dataclass(frozen=True)
-class GadgetGraph:
-    graph: TropicalGraph
-    names: Mapping
+class GadgetGraph(_Record):
+    _fields = ("graph", "names")
+
+    def __init__(self, graph: TropicalGraph, names: Mapping):
+        d = self.__dict__
+        d["graph"] = graph
+        d["names"] = names
 
     def __getitem__(self, label: str) -> int:
         return self.names[label]

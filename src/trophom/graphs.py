@@ -10,7 +10,7 @@ classes internally.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 Colour = Hashable
@@ -29,26 +29,63 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class TropicalGraph:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in _fields, in signature order, and its
+    own __init__ validates them and stores them straight into the instance
+    __dict__; assignment and deletion raise AttributeError.  Equality and
+    hashing read the fields as one tuple, and records of different classes
+    never compare equal.  Values kept later in __dict__ (cached properties,
+    _kept) are not fields and do not count.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TropicalGraph(_Record):
     """Immutable coloured graph on vertices 0..n-1."""
 
-    n: int
-    edges: frozenset
-    colours: tuple
+    _fields = ("n", "edges", "colours")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset, colours: tuple):
+        if n < 0:
             raise InputError("vertex count must be nonnegative")
-        if len(self.colours) != self.n:
-            raise InputError(
-                f"expected {self.n} colours, got {len(self.colours)}")
-        for e in self.edges:
+        if len(colours) != n:
+            raise InputError(f"expected {n} colours, got {len(colours)}")
+        for e in edges:
             u, v = e
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise InputError(f"edge {e} out of range or not normalized")
+        d = self.__dict__
+        d["n"] = n
+        d["edges"] = edges
+        d["colours"] = colours
 
     # Adjacency and colour classes are cached on first use; the instance
     # stays hashable/equal on its declared fields only.
@@ -156,22 +193,23 @@ def cycle_graph(colours: Sequence[Colour]) -> TropicalGraph:
     return tgraph(n, edges, colours)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Record):
     """Immutable loopless directed graph on vertices 0..n-1."""
 
-    n: int
-    arcs: frozenset
+    _fields = ("n", "arcs")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, arcs: frozenset):
+        if n < 0:
             raise InputError("vertex count must be nonnegative")
-        for a in self.arcs:
+        for a in arcs:
             u, v = a
             if u == v:
                 raise InputError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"arc {a} out of range")
+        d = self.__dict__
+        d["n"] = n
+        d["arcs"] = arcs
 
     @functools.cached_property
     def out_adjacency(self) -> tuple:
@@ -192,10 +230,13 @@ def dgraph(n: int, arcs: Iterable) -> Digraph:
     return Digraph(n, frozenset((u, v) for u, v in arcs))
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    part_a: frozenset
-    part_b: frozenset
+class Bipartition(_Record):
+    _fields = ("part_a", "part_b")
+
+    def __init__(self, part_a: frozenset, part_b: frozenset):
+        d = self.__dict__
+        d["part_a"] = part_a
+        d["part_b"] = part_b
 
 
 def validate_hom(source: TropicalGraph, target: TropicalGraph,

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cores import core
 from .graphs import (InputError, PreconditionError, TropicalGraph,
-                     _components, _kept, connected_components, split_colours)
+                     _components, _kept, _Record, connected_components,
+                     split_colours)
 from .solver import SolveOutcome, solve_list_hom, solve_trop_hom
 
 
@@ -121,22 +121,23 @@ def solve_all_forcing(source: TropicalGraph,
 # 2-SAT
 
 
-@dataclass(frozen=True)
-class TwoSatFormula:
+class TwoSatFormula(_Record):
     """Clauses are pairs of literals; a literal is (variable, polarity)."""
 
-    n_vars: int
-    clauses: tuple
+    _fields = ("n_vars", "clauses")
 
-    def __post_init__(self):
-        if self.n_vars < 0:
+    def __init__(self, n_vars: int, clauses: tuple):
+        if n_vars < 0:
             raise InputError("variable count must be nonnegative")
-        for cl in self.clauses:
+        for cl in clauses:
             if len(cl) != 2:
                 raise InputError("2-SAT clauses take exactly two literals")
             for var, _pol in cl:
-                if not 0 <= var < self.n_vars:
+                if not 0 <= var < n_vars:
                     raise InputError(f"literal variable {var} out of range")
+        d = self.__dict__
+        d["n_vars"] = n_vars
+        d["clauses"] = clauses
 
 
 def two_sat(n_vars: int, clauses) -> TwoSatFormula:
@@ -340,8 +341,7 @@ def solve_by_colour_pairs(source: TropicalGraph,
 # unique tropical features
 
 
-@dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(_Record):
     """Locally unique colour patterns of a target, by kind.
 
     type1: vertices alone in their colour class.
@@ -353,10 +353,17 @@ class FeatureSet:
            else, replaceable by pendant edges.
     """
 
-    type1: frozenset = frozenset()
-    type2: frozenset = frozenset()
-    type3: frozenset = frozenset()
-    type4: frozenset = frozenset()
+    _fields = ("type1", "type2", "type3", "type4")
+
+    def __init__(self, type1: frozenset = frozenset(),
+                 type2: frozenset = frozenset(),
+                 type3: frozenset = frozenset(),
+                 type4: frozenset = frozenset()):
+        d = self.__dict__
+        d["type1"] = type1
+        d["type2"] = type2
+        d["type3"] = type3
+        d["type4"] = type4
 
     def __bool__(self):
         return bool(self.type1 or self.type2 or self.type3 or self.type4)
@@ -434,8 +441,7 @@ def detect_features(target: TropicalGraph) -> FeatureSet:
     return FeatureSet(t1, t2, t3, t4)
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(_Record):
     """A list-homomorphism instance equivalent to the original problem.
 
     source/lists/target are reindexed; the *_to_original tuples recover
@@ -444,12 +450,19 @@ class ReducedInstance:
     vertices the elimination deleted.
     """
 
-    source: TropicalGraph
-    lists: dict
-    target: TropicalGraph
-    source_to_original: tuple
-    target_to_original: tuple
-    pinned: dict
+    _fields = ("source", "lists", "target", "source_to_original",
+               "target_to_original", "pinned")
+
+    def __init__(self, source: TropicalGraph, lists: dict,
+                 target: TropicalGraph, source_to_original: tuple,
+                 target_to_original: tuple, pinned: dict):
+        d = self.__dict__
+        d["source"] = source
+        d["lists"] = lists
+        d["target"] = target
+        d["source_to_original"] = source_to_original
+        d["target_to_original"] = target_to_original
+        d["pinned"] = pinned
 
 
 def _disjoint_features(fs: FeatureSet, target: TropicalGraph) -> FeatureSet:
@@ -675,21 +688,27 @@ _PLAN_CACHE = 32
 _ANSWERS_BOUND = 128
 
 
-@dataclass(frozen=True)
-class StrategyReport:
-    route: tuple
-    notes: tuple = ()
+class StrategyReport(_Record):
+    _fields = ("route", "notes")
+
+    def __init__(self, route: tuple, notes: tuple = ()):
+        d = self.__dict__
+        d["route"] = route
+        d["notes"] = notes
 
 
-@dataclass(frozen=True)
 class _TargetPlan:
-    steps: tuple
-    solve: Callable               # source component -> SolveOutcome
-    to_original: tuple            # strategy-target index -> index in the
-                                  # whole dispatched target
-    split: bool
-    # colours of a source component of at most two vertices -> its answer
-    answers: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("steps", "solve", "to_original", "split", "answers")
+
+    def __init__(self, steps: tuple, solve: Callable, to_original: tuple,
+                 split: bool):
+        self.steps = steps
+        self.solve = solve              # source component -> SolveOutcome
+        self.to_original = to_original  # strategy-target index -> index in
+                                        # the whole dispatched target
+        self.split = split
+        # colours of a source component of at most two vertices -> answer
+        self.answers = {}
 
 
 def _holds(check, target: TropicalGraph) -> bool:

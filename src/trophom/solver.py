@@ -34,37 +34,43 @@ vectors, as when the core search tries every vertex of one graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Mapping, Optional
 
-from .graphs import (Digraph, InputError, TropicalGraph, _kept,
+from .graphs import (Digraph, InputError, TropicalGraph, _kept, _Record,
                      check_embedding)
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(_Record):
     """Decision result plus the witness and some search statistics.
 
     The witness is present exactly when solvable, passes validate_hom for
     the problem it answers, and respects the lists it was solved under.
     """
 
-    solvable: bool
-    witness: Optional[dict]
-    nodes: int = 0
-    passes: int = 0
+    _fields = ("solvable", "witness", "nodes", "passes")
+
+    def __init__(self, solvable: bool, witness: Optional[dict],
+                 nodes: int = 0, passes: int = 0):
+        d = self.__dict__
+        d["solvable"] = solvable
+        d["witness"] = witness
+        d["nodes"] = nodes
+        d["passes"] = passes
 
     @property
     def status(self) -> str:
         return "solvable" if self.solvable else "unsolvable"
 
 
-@dataclass(frozen=True)
-class Enumeration:
-    maps: tuple
-    truncated: bool
-    nodes: int = 0
+class Enumeration(_Record):
+    _fields = ("maps", "truncated", "nodes")
+
+    def __init__(self, maps: tuple, truncated: bool, nodes: int = 0):
+        d = self.__dict__
+        d["maps"] = maps
+        d["truncated"] = truncated
+        d["nodes"] = nodes
 
 
 # Support masks a target's kept relation holds before it starts over: a

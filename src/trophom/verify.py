@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Optional
 
 from . import gadgets
 from .gadgets import CnfFormula, GadgetGraph, NaeFormula
-from .graphs import InputError, TropicalGraph, plain
-from .poly import dispatch_solve
+from .graphs import InputError, TropicalGraph, _Record, plain
 from .solver import (colour_lists, enumerate_homs, solve_list_hom,
                      solve_trop_hom)
-from .testing import random_h9_instance, random_source
 
 
 BRUTE_VAR_LIMIT = 24
@@ -31,19 +28,27 @@ ZIGZAG_LIMITS = (7, 6)
 CROSS_CHECK_MAX_N = 10
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    informational: bool = False
+class CheckResult(_Record):
+    _fields = ("name", "passed", "detail", "informational")
+
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 informational: bool = False):
+        d = self.__dict__
+        d["name"] = name
+        d["passed"] = passed
+        d["detail"] = detail
+        d["informational"] = informational
 
 
-@dataclass(frozen=True)
-class Report:
-    title: str
-    checks: tuple
-    seed: Optional[int] = None
+class Report(_Record):
+    _fields = ("title", "checks", "seed")
+
+    def __init__(self, title: str, checks: tuple,
+                 seed: Optional[int] = None):
+        d = self.__dict__
+        d["title"] = title
+        d["checks"] = checks
+        d["seed"] = seed
 
     @property
     def passed(self) -> bool:
@@ -60,6 +65,15 @@ class Report:
                 for c in self.checks
             ],
         }
+
+
+def __getattr__(name):
+    # random_source, the generator cross_check_poly draws from, is named
+    # here too; testing loads only with the randomized suites that use it.
+    if name == "random_source":
+        from .testing import random_source
+        return random_source
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +387,17 @@ def roundtrip(kind: str, **payload) -> Report:
 # randomized suites
 
 
+def _require_trials(trials: int):
+    # A batch of no trials checks nothing, so it may not pass.
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
+
+
 def roundtrip_h9_batch(trials: int, seed: int) -> Report:
     """Pendant-target round-trips on seeded random list instances."""
+    from .testing import random_h9_instance
+
+    _require_trials(trials)
     rng = random.Random(seed)
     failures = [t for t in range(trials)
                 if not roundtrip_h9(*random_h9_instance(rng)).passed]
@@ -388,6 +411,10 @@ def roundtrip_h9_batch(trials: int, seed: int) -> Report:
 def cross_check_poly(target: TropicalGraph, trials: int = 200,
                      seed: int = 7) -> Report:
     """Random sources: dispatcher status must equal the brute-force status."""
+    from .poly import dispatch_solve
+    from .testing import random_source
+
+    _require_trials(trials)
     rng = random.Random(seed)
     routes = set()
     mismatches = []

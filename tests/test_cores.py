@@ -360,3 +360,19 @@ class TestIsoCheck:
             else:
                 g2 = random_tropical(rng, 5, ["a", "b"])
             assert iso_check(g1, g2) == brute_iso(g1, g2)
+
+    def test_differs_supports_match_the_scanned_supports(self):
+        # The closed form of the "differs" relation against the row scan
+        # of the generic relation, on random masks, every single value
+        # and the empty mask.
+        from trophom.solver import _Supports
+
+        rng = random.Random(11)
+        for n in (1, 2, 3, 7, 64, 130):
+            rows = [(1 << n) - 1 ^ 1 << a for a in range(n)]
+            closed, scanned = cores._Differs(rows), _Supports(rows)
+            masks = [0, (1 << n) - 1] + [1 << a for a in range(n)]
+            masks += [rng.getrandbits(n) for _ in range(50)]
+            for dv in masks:
+                assert closed[dv] == scanned[dv], (n, dv)
+            assert closed.full == scanned.full

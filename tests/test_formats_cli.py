@@ -16,6 +16,7 @@ from trophom.formats import (parse_digraph, parse_dimacs, parse_gadget,
                              serialize_gadget, serialize_lists,
                              serialize_tropical)
 from trophom.gadgets import CnfFormula, NaeFormula, build_h9
+from trophom.verify import cross_check_poly, roundtrip_h9_batch
 
 
 class TestTropicalFormat:
@@ -210,6 +211,16 @@ def test_models_refuse_negative_counts():
             build()
 
 
+@pytest.mark.parametrize("trials", [-5, -1, 0])
+def test_verifiers_refuse_trial_counts_below_one(trials):
+    # A batch of no trials checks nothing and so may not report PASS.
+    h9 = build_h9().graph
+    for run in (lambda: roundtrip_h9_batch(trials, 7),
+                lambda: cross_check_poly(h9, trials, 7)):
+        with pytest.raises(InputError, match="trials must be at least 1"):
+            run()
+
+
 # A file with a negative count or vertex index, and a command that reads
 # it: "{input}" is that file, "{graph}" an edge and "{out}" an output path.
 NEGATIVE = [
@@ -398,6 +409,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "is negative" in err
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "roundtrip", "--kind", "h9", "--trials", "-5"],
+        ["verify", "roundtrip", "--kind", "h9", "--trials", "0"],
+        ["verify", "cross-check", "--target", "{h9}", "--trials", "0"],
+        ["verify", "cross-check", "--target", "{h9}", "--trials", "-1"],
+    ], ids=["h9-minus-5", "h9-0", "cross-check-0", "cross-check-minus-1"])
+    def test_trial_counts_below_one_are_refused(self, tmp_path, capsys,
+                                                args):
+        h9 = self.tg(tmp_path, "h9.tg", build_h9().graph)
+        assert main([a.format(h9=h9) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error: trials must be at least 1")
 
     def test_verify_commands(self, capsys):
         assert main(["verify", "pq-lemma"]) == 0

@@ -60,9 +60,9 @@ def test_benchmark_oracle_agrees_with_the_engine():
 
 
 def _loaded_after(code: str, cwd) -> set:
-    """The trophom modules a fresh interpreter holds after running code."""
+    """The modules a fresh interpreter holds after running code."""
     probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
-                    "m for m in sys.modules if m.startswith('trophom'))))")
+                    "sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -86,6 +86,58 @@ def test_solve_command_loads_no_gadget_or_verify_code(tmp_path):
         "assert code == 0, code", tmp_path)
     assert "trophom.solver" in loaded
     assert not loaded & UNUSED_BY_SOLVE
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    loaded = _loaded_after("import trophom", tmp_path)
+    assert "trophom" in loaded
+    assert not {m for m in loaded if m.startswith("trophom.")}
+
+
+def test_cli_import_loads_no_command_code(tmp_path):
+    # The records are plain classes, so no command pays for dataclasses
+    # (and the inspect, ast and dis modules it imports).
+    loaded = _loaded_after("import trophom.cli", tmp_path)
+    assert "trophom.cli" in loaded
+    assert not loaded & {"dataclasses", "trophom.solver", "trophom.cores",
+                         "trophom.poly", "trophom.gadgets",
+                         "trophom.verify", "trophom.testing"}
+
+
+@pytest.mark.parametrize("args", [
+    ["gadget", "nae3sat", "--cnf", "f.cnf", "--out", "g.tg"],
+    ["core", "--in", "e.tg", "--out", "core.tg"],
+], ids=["gadget-nae3sat", "core"])
+def test_gadget_and_core_commands_load_no_poly(tmp_path, args):
+    (tmp_path / "f.cnf").write_text("p cnf 3 1\n1 2 3 0\n")
+    (tmp_path / "e.tg").write_text("tg 2 1\nc 0 a\nc 1 b\ne 0 1\n")
+    loaded = _loaded_after(
+        "from trophom.cli import main\n"
+        f"code = main({args!r})\n"
+        "assert code == 0, code", tmp_path)
+    assert "trophom.poly" not in loaded
+    assert not loaded & {"dataclasses", "trophom.verify", "trophom.testing"}
+
+
+def test_public_names_are_their_home_module_objects(tmp_path):
+    # Each name is resolved in a fresh interpreter, first access first, so
+    # the lazy lookup itself is what hands it out.
+    probe = (
+        "import importlib, types, trophom\n"
+        "for name in trophom.__all__:\n"
+        "    value = getattr(trophom, name)\n"
+        "    if isinstance(value, types.ModuleType):\n"
+        "        home = importlib.import_module('trophom.' + name)\n"
+        "        assert value is home, name\n"
+        "        continue\n"
+        "    home = 'trophom.' + trophom._HOME_OF[name]\n"
+        "    assert value is getattr(importlib.import_module(home), name)\n"
+        "    assert getattr(value, '__module__', home) in (home, 'typing',\n"
+        "                                                 'builtins'), name\n"
+        "    assert vars(trophom)[name] is value, name\n")
+    loaded = _loaded_after(probe, tmp_path)
+    assert {"trophom.graphs", "trophom.solver", "trophom.cores",
+            "trophom.poly"} <= loaded
 
 
 def test_formats_loads_no_gadget_code(tmp_path):
