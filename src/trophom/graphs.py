@@ -9,7 +9,6 @@ classes internally.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -29,6 +28,26 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+class _cached:
+    """A read-only attribute computed on first read and stored in the
+    instance __dict__ under its own name.  Being a non-data descriptor,
+    it is not consulted again once the value is there, and it takes no
+    lock: functools.cached_property takes one on every first read on
+    Python 3.10-3.11.  Threads racing on a first read each compute the
+    value, and one of the equal results is kept."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _Record:
     """Base of the package's immutable records.
 
@@ -36,7 +55,7 @@ class _Record:
     own __init__ validates them and stores them straight into the instance
     __dict__; assignment and deletion raise AttributeError.  Equality and
     hashing read the fields as one tuple, and records of different classes
-    never compare equal.  Values kept later in __dict__ (cached properties,
+    never compare equal.  Values kept later in __dict__ (_cached attributes,
     _kept) are not fields and do not count.
     """
 
@@ -89,7 +108,7 @@ class TropicalGraph(_Record):
 
     # Adjacency and colour classes are cached on first use; the instance
     # stays hashable/equal on its declared fields only.
-    @functools.cached_property
+    @_cached
     def adjacency(self) -> tuple:
         sets = [set() for _ in range(self.n)]
         for u, v in self.edges:
@@ -106,7 +125,7 @@ class TropicalGraph(_Record):
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
-    @functools.cached_property
+    @_cached
     def _classes(self) -> dict:
         grouped: dict = {}
         for v, c in enumerate(self.colours):
@@ -211,14 +230,14 @@ class Digraph(_Record):
         d["n"] = n
         d["arcs"] = arcs
 
-    @functools.cached_property
+    @_cached
     def out_adjacency(self) -> tuple:
         sets = [set() for _ in range(self.n)]
         for u, v in self.arcs:
             sets[u].add(v)
         return tuple(frozenset(s) for s in sets)
 
-    @functools.cached_property
+    @_cached
     def in_adjacency(self) -> tuple:
         sets = [set() for _ in range(self.n)]
         for u, v in self.arcs:

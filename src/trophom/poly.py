@@ -11,6 +11,8 @@ Four routes can settle an instance without exhaustive search:
 The dispatcher composes them (component split, bipartite reject, bounded
 core reduction, colour split, then a strategy) and falls back to the exact
 solver only when nothing applies; its status always equals ground truth.
+Core reduction skips a target component whose vertices are all forcing,
+which is its own core (see _plan_target).
 """
 
 from __future__ import annotations
@@ -54,12 +56,17 @@ def forcing_vertices(target: TropicalGraph) -> frozenset:
 def _forcing_tables(target: TropicalGraph) -> tuple:
     """For each target vertex, map neighbour colour -> the one neighbour.
 
-    PreconditionError unless every target vertex is forcing.
+    PreconditionError unless every target vertex is forcing, which is
+    when no table comes out shorter than its vertex's neighbourhood.
     """
-    if len(forcing_vertices(target)) != target.n:
-        raise PreconditionError("target has a non-forcing vertex")
-    return tuple({target.colours[w]: w for w in target.adjacency[v]}
-                 for v in range(target.n))
+    colours = target.colours
+    tables = []
+    for nbrs in target.adjacency:
+        table = {colours[w]: w for w in nbrs}
+        if len(table) < len(nbrs):
+            raise PreconditionError("target has a non-forcing vertex")
+        tables.append(table)
+    return tuple(tables)
 
 
 def _tables_of(target: TropicalGraph) -> tuple:
@@ -750,12 +757,20 @@ def _strategy(t: TropicalGraph) -> tuple:
 
 
 def _plan_target(tc: TropicalGraph, tmap: tuple) -> _TargetPlan:
-    """Plan one target component; tmap maps its vertices to the whole
-    target's."""
+    """Plan one connected target component; tmap maps its vertices to the
+    whole target's.
+
+    A component of at most _CORE_BOUND vertices is replaced by its core,
+    unless every vertex is forcing: a connected all-forcing graph is its
+    own core.  A retraction r onto a proper induced subgraph R would meet
+    an edge uw with u outside R and w in R (the graph is connected), and
+    map u onto r(u) != u, a neighbour of r(w) = w with u's colour; two
+    neighbours of w would share a colour.
+    """
     steps = []
     work = tc
     to_original = tmap
-    if 0 < tc.n <= _CORE_BOUND:
+    if 0 < tc.n <= _CORE_BOUND and len(forcing_vertices(tc)) < tc.n:
         reduced = core(tc)
         if reduced.graph.n < tc.n:
             steps.append(ROUTE_CORE)

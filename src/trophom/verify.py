@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import random
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
-from . import gadgets
-from .gadgets import CnfFormula, GadgetGraph, NaeFormula
 from .graphs import InputError, TropicalGraph, _Record, plain
 from .solver import (colour_lists, enumerate_homs, solve_list_hom,
                      solve_trop_hom)
+
+if TYPE_CHECKING:  # gadgets is imported by the verifiers that build gadgets
+    from .gadgets import CnfFormula, GadgetGraph, NaeFormula
 
 
 BRUTE_VAR_LIMIT = 24
@@ -187,6 +188,8 @@ def _pair_named_images(pair: GadgetGraph, mapping: Mapping) -> tuple:
 def verify_c48_claim(palette: str = "four") -> Report:
     """Pinned enumeration on the pair gadget: exactly two homomorphisms,
     matching the around-the-cycle and the folded named-vertex patterns."""
+    from . import gadgets
+
     target = gadgets.build_c48(palette)
     pair = gadgets.build_pair_gadget(0, 1, palette)
     lists = dict(colour_lists(pair.graph, target.graph))
@@ -217,6 +220,8 @@ def verify_c48_claim(palette: str = "four") -> Report:
 
 def verify_pq_lemma(palette: str = "four") -> Report:
     """The eight end-colour mapping facts for P- and Q-pieces."""
+    from . import gadgets
+
     checks = []
     ends = (("G", "B"), ("B", "G"))
     for s1, e1 in ends:
@@ -255,6 +260,8 @@ def verify_zigzag_properties(l: int, k: int) -> Report:
     Properties 1-6 are decided exactly; the two extension properties are
     spot-checked on a small catalogue of witnesses and labelled so.
     """
+    from . import gadgets
+
     max_l, max_k = ZIGZAG_LIMITS
     if l > max_l or k > max_k:
         raise InputError(f"enumeration budget is l<={max_l}, k<={max_k}")
@@ -340,6 +347,8 @@ def roundtrip_nae(f: NaeFormula, palette: str = "four",
     The landing vertex of U_G may be pinned to g0: the target has a
     colour-preserving rotation carrying any Green corner to g0.
     """
+    from . import gadgets
+
     want = nae_brute(f)
     target = gadgets.build_c48(palette, k)
     inst = gadgets.nae3sat_to_c48(f, palette, k)
@@ -357,12 +366,16 @@ def roundtrip_nae(f: NaeFormula, palette: str = "four",
 def _h9_and_c6() -> tuple:
     """The pendant target H9 and the six-cycle, built once: every round-trip
     solves against one H9 object and so shares its support memo."""
+    from . import gadgets
+
     return (gadgets.build_h9().graph,
             plain(6, [(i, (i + 1) % 6) for i in range(6)]))
 
 
 def roundtrip_h9(source: TropicalGraph, lists: Mapping) -> Report:
     """List instance over the six-cycle versus its pendant-target gadget."""
+    from . import gadgets
+
     h9, c6 = _h9_and_c6()
     zero_based = {v: frozenset(x - 1 for x in lists[v])
                   for v in range(source.n)}

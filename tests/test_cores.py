@@ -1,12 +1,13 @@
 import random
 
-from trophom import (core, cycle_graph, find_proper_retract, is_core,
+from trophom import (connected_components, core, cycle_graph,
+                     find_proper_retract, forcing_vertices, is_core,
                      iso_check, path_graph, plain, solve_list_hom,
                      solve_trop_hom, tgraph, validate_hom)
 from trophom import cores
 from trophom.solver import colour_lists
 from trophom.gadgets import build_c48, build_h9
-from trophom.testing import random_tropical
+from trophom.testing import random_forcing_tree, random_tropical
 from trophom.verify import list_homs, trop_hom_brute
 
 
@@ -286,6 +287,72 @@ class TestFold:
 class TestC48Core:
     def test_c48_is_a_core(self):
         assert is_core(build_c48("four", 24).graph)
+
+
+def distance_two_coloured(rng, n, extra):
+    """A random connected graph: a random tree plus up to extra more edges,
+    coloured greedily in random vertex order so that two vertices with a
+    common neighbour never share a colour, which makes every vertex
+    forcing.  Adjacent vertices may share a colour."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    extra = min(extra, n * (n - 1) // 2 - len(edges))
+    while extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges:
+            edges.add((u, v))
+            extra -= 1
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    colours = [None] * n
+    order = list(range(n))
+    rng.shuffle(order)
+    for v in order:
+        taken = {colours[u] for w in adj[v] for u in adj[w] if u != v}
+        colours[v] = min(c for c in range(n) if c not in taken)
+    return tgraph(n, sorted(edges), colours)
+
+
+class TestAllForcingIsItsOwnCore:
+    """A connected graph whose vertices are all forcing is its own core: a
+    retraction onto a proper R would map some u outside R, adjacent to w in
+    R, onto a second neighbour of w with u's colour.  The dispatcher relies
+    on this to plan such a target component without calling core."""
+
+    @staticmethod
+    def all_forcing_graphs():
+        rng = random.Random(2121)
+        graphs = [random_forcing_tree(rng, 9) for _ in range(60)]
+        graphs += [distance_two_coloured(rng, rng.randint(3, 9),
+                                         rng.randint(1, 5))
+                   for _ in range(60)]
+        return graphs
+
+    def test_connected_all_forcing_graphs_are_cores(self):
+        cyclic = 0
+        for g in self.all_forcing_graphs():
+            assert len(forcing_vertices(g)) == g.n
+            assert len(connected_components(g)) == 1
+            cyclic += len(g.edges) >= g.n
+            result = core(g)
+            assert result.retained == tuple(range(g.n))
+            assert result.hom == {v: v for v in range(g.n)}
+            assert result.graph == g
+            assert is_core(g)
+            assert min_endomorphism_image(g) == g.n
+        assert cyclic >= 50
+
+    def test_the_lemma_needs_connectivity(self):
+        # Two equally coloured copies of an all-forcing path: every vertex
+        # is still forcing, but one copy folds onto the other.
+        path = path_graph(["a", "b", "c"])
+        twice = tgraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)],
+                       ["a", "b", "c"] * 2)
+        assert len(forcing_vertices(twice)) == twice.n
+        result = core(twice)
+        assert result.graph.n == 3 and iso_check(result.graph, path)
+        assert not is_core(twice)
 
 
 class TestIsCore:

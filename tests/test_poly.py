@@ -105,6 +105,26 @@ class TestSolveAllForcing:
         with pytest.raises(PreconditionError):
             solve_all_forcing(plain(1, [], colour="W"), star)
 
+    def test_forcing_tables_refuse_exactly_the_non_forcing_targets(self):
+        # The tables come from one pass over the neighbourhoods; a target
+        # they accept gets what a table per vertex from its whole
+        # neighbourhood gives.
+        rng = random.Random(77)
+        targets = [random_forcing_tree(rng, 8) for _ in range(100)]
+        targets += [random_tropical(rng, 8, "abc") for _ in range(200)]
+        kinds = set()
+        for t in targets:
+            forcing = len(forcing_vertices(t)) == t.n
+            kinds.add(forcing)
+            if not forcing:
+                with pytest.raises(PreconditionError):
+                    poly._forcing_tables(t)
+                continue
+            assert poly._forcing_tables(t) == tuple(
+                {t.colours[w]: w for w in t.adjacency[v]}
+                for v in range(t.n))
+        assert kinds == {True, False}
+
     def test_oracle_equivalence_on_seeded_suite(self):
         rng = random.Random(500)
         for _ in range(500):
@@ -569,6 +589,36 @@ class TestPlanWork:
         plan = poly._plan_target(component, tuple(range(component.n)))
         assert len(runs) == 1
         assert plan.split == (poly.ROUTE_SPLIT in plan.steps)
+
+
+    def test_all_forcing_components_skip_core(self, monkeypatch):
+        # A connected all-forcing component is its own core, so its plan
+        # calls no core; every other component is planned with one.
+        calls = []
+        real_core = poly.core
+
+        def counting_core(g):
+            calls.append(g)
+            return real_core(g)
+
+        monkeypatch.setattr(poly, "core", counting_core)
+        rng = random.Random(2121)
+        graphs = [random_forcing_tree(rng, 8) for _ in range(40)]
+        graphs += [random_tropical(rng, 8, "ab", min_n=2) for _ in range(80)]
+        planned = {True: 0, False: 0}
+        for g in graphs:
+            for tc, _ in connected_components(g):
+                forcing = len(forcing_vertices(tc)) == tc.n
+                planned[forcing] += 1
+                calls.clear()
+                plan = poly._plan_target(tc, tuple(range(tc.n)))
+                assert len(calls) == (0 if forcing else 1)
+                if forcing:
+                    # what the skipped call would have found
+                    assert real_core(tc).graph == tc
+                    assert poly.ROUTE_CORE not in plan.steps
+                    assert plan.to_original == tuple(range(tc.n))
+        assert planned[True] >= 40 and planned[False] >= 40
 
 
 class TestPlanCache:

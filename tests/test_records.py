@@ -160,6 +160,65 @@ def test_cached_values_live_in_the_instance_dict():
     assert d.in_adjacency is d.__dict__["in_adjacency"]
 
 
+class TestCachedAttribute:
+    """adjacency, _classes, out_adjacency and in_adjacency are computed on
+    first read and kept in the instance __dict__, outside the fields."""
+
+    @staticmethod
+    def path():
+        return TropicalGraph(3, frozenset({(0, 1), (1, 2)}), ("a", "b", "a"))
+
+    def test_first_read_is_kept(self):
+        g = self.path()
+        assert "adjacency" not in g.__dict__
+        assert g.adjacency is g.adjacency
+        assert g.__dict__["adjacency"] is g.adjacency
+        assert g.adjacency == (frozenset({1}), frozenset({0, 2}),
+                               frozenset({1}))
+        assert g._classes is g._classes is g.__dict__["_classes"]
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        cold, warm = self.path(), self.path()
+        warm.adjacency, warm.colour_classes()  # noqa: B018
+        assert "adjacency" in warm.__dict__
+        assert "adjacency" not in cold.__dict__
+        assert cold == warm and hash(cold) == hash(warm)
+        assert hash(warm) == hash((warm.n, warm.edges, warm.colours))
+
+    def test_recoloured_shares_the_adjacency(self):
+        g = self.path()
+        fresh = g.recoloured(("x", "y", "z"))
+        assert "adjacency" not in fresh.__dict__
+        g.adjacency  # noqa: B018
+        again = g.recoloured(("x", "y", "z"))
+        assert again.adjacency is g.adjacency
+        assert again == fresh
+
+    def test_digraph_adjacencies(self):
+        d = Digraph(3, frozenset({(0, 1), (2, 1)}))
+        twin = Digraph(3, frozenset({(0, 1), (2, 1)}))
+        assert d.out_adjacency is d.out_adjacency
+        assert d.in_adjacency is d.__dict__["in_adjacency"]
+        assert d.out_adjacency == (frozenset({1}), frozenset(),
+                                   frozenset({1}))
+        assert d.in_adjacency == (frozenset(), frozenset({0, 2}),
+                                  frozenset())
+        assert d == twin and hash(d) == hash(twin)
+
+    @pytest.mark.parametrize("cls, name", [
+        (TropicalGraph, "adjacency"), (TropicalGraph, "_classes"),
+        (Digraph, "out_adjacency"), (Digraph, "in_adjacency")])
+    def test_class_access_returns_the_descriptor(self, cls, name):
+        attr = getattr(cls, name)
+        assert isinstance(attr, graphs._cached)
+        assert attr is vars(cls)[name]
+
+    def test_assignment_is_still_refused(self):
+        g = self.path()
+        with pytest.raises(AttributeError):
+            g.adjacency = ()
+
+
 def test_target_plan_holds_its_own_answers():
     first = poly._TargetPlan(("TwoSat",), len, (0, 1), False)
     second = poly._TargetPlan(("TwoSat",), len, (0, 1), False)

@@ -119,6 +119,19 @@ def test_gadget_and_core_commands_load_no_poly(tmp_path, args):
     assert not loaded & {"dataclasses", "trophom.verify", "trophom.testing"}
 
 
+def test_cross_check_command_loads_no_gadget_code(tmp_path):
+    # verify imports gadgets only in the verifiers that build gadgets.
+    (tmp_path / "t.tg").write_text("tg 3 2\nc 0 a\nc 1 b\nc 2 a\n"
+                                   "e 0 1\ne 1 2\n")
+    loaded = _loaded_after(
+        "from trophom.cli import main\n"
+        "code = main(['verify', 'cross-check', '--target', 't.tg', "
+        "'--trials', '1'])\n"
+        "assert code == 0, code", tmp_path)
+    assert {"trophom.verify", "trophom.poly"} <= loaded
+    assert "trophom.gadgets" not in loaded
+
+
 def test_public_names_are_their_home_module_objects(tmp_path):
     # Each name is resolved in a fresh interpreter, first access first, so
     # the lazy lookup itself is what hands it out.
