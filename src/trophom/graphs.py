@@ -306,67 +306,86 @@ def check_embedding(pattern: TropicalGraph, host: TropicalGraph,
 
 
 def _traverse(g: TropicalGraph):
-    """One BFS 2-colouring of g: yield (vertices, side, odd) per component,
-    in order of its smallest vertex.  vertices lists the component in BFS
-    order from that vertex, which gets bit 0; side is one list for all of
-    g, filled as far as the components yielded so far; odd tells that the
-    component holds an odd cycle, so its bits are not a 2-colouring.
+    """The one BFS 2-colouring of g, and the only splitter of g into
+    connected components: yield (vertices, bits, nbrs) per component, in
+    order of its smallest vertex, building no graph.
 
-    The search walks neighbour lists from one scan of the edges, not
-    g.adjacency: a disconnected g's whole adjacency would serve only this
-    search, as each component graph builds its own."""
-    adjacency = [[] for _ in range(g.n)]
+    vertices lists the component ascending; bits gives their side bits
+    in the same order, bit 0 on the smallest vertex (the BFS root), or is
+    None when the component holds an odd cycle; nbrs is g's neighbour
+    lists, for _subgraph.  A vertex with no neighbour, and an edge whose
+    ends have no other, come out before any search, as the components
+    (v,) with bits (0,) and (u, v) with bits (0, 1).
+
+    The lists come from one scan of the edges, not g.adjacency: a
+    disconnected g's whole adjacency would serve only this search, as each
+    component graph builds its own.  Being a generator, the split stops
+    where its reader does: components after that are never searched."""
+    n = g.n
+    nbrs = [[] for _ in range(n)]
     for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    side = [-1] * g.n
-    for start in range(g.n):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    side = [-1] * n
+    for start in range(n):
         if side[start] != -1:
+            continue
+        near = nbrs[start]
+        if not near:
+            yield (start,), (0,), nbrs
+            continue
+        if len(near) == 1 and len(nbrs[near[0]]) == 1:
+            # start's one neighbour w sees only start, so w is unvisited
+            # and above start, the smallest unvisited vertex
+            w = near[0]
+            side[w] = 1
+            yield (start, w), (0, 1), nbrs
             continue
         side[start] = 0
         comp = [start]
         odd = False
         for v in comp:  # the list is the queue: iteration sees appends
             s = 1 - side[v]
-            for w in adjacency[v]:
+            for w in nbrs[v]:
                 if side[w] == -1:
                     side[w] = s
                     comp.append(w)
                 elif side[w] != s:
                     odd = True
-        yield comp, side, odd
+        if len(comp) == n:
+            yield tuple(range(n)), None if odd else tuple(side), nbrs
+            return
+        comp.sort()
+        yield (tuple(comp), None if odd else tuple([side[v] for v in comp]),
+               nbrs)
+
+
+def _subgraph(g: TropicalGraph, vertices: tuple, nbrs: list) -> TropicalGraph:
+    """The component of g on the ascending vertices that _traverse gave
+    with the neighbour lists nbrs, its edges read from those lists; g
+    itself when the component is all of g."""
+    if len(vertices) == g.n:
+        return g
+    pos = {v: i for i, v in enumerate(vertices)}
+    # vertices ascend, so v < w keeps each pair normalized
+    edges = frozenset([(i, pos[w]) for i, v in enumerate(vertices)
+                       for w in nbrs[v] if v < w])
+    colours = g.colours
+    return TropicalGraph(len(vertices), edges,
+                         tuple([colours[v] for v in vertices]))
 
 
 def _components(g: TropicalGraph):
     """Yield (component, new->old map, side bits or None) for each connected
-    component of g, from one BFS and one scan of the edges.
+    component of g: _traverse's split, with each component built.
 
     Components come in order of their smallest vertex, with vertices
     ascending, and a connected g comes back as itself.  The bits are the
     ones split_instance gives the component, bit 0 on its smallest vertex,
     and None when it has an odd cycle.
     """
-    parts = []
-    for comp, side, odd in _traverse(g):
-        if len(comp) == g.n:
-            yield g, tuple(range(g.n)), None if odd else tuple(side)
-            return
-        parts.append((tuple(sorted(comp)), odd))
-    which = [0] * g.n
-    pos = [0] * g.n
-    for ci, (old, _) in enumerate(parts):
-        for i, v in enumerate(old):
-            which[v] = ci
-            pos[v] = i
-    edges = [[] for _ in parts]
-    for u, v in g.edges:
-        # pos is ascending within a component, so the pair stays normalized
-        edges[which[u]].append((pos[u], pos[v]))
-    colours = g.colours
-    for (old, odd), es in zip(parts, edges):
-        sub = TropicalGraph(len(old), frozenset(es),
-                            tuple(colours[v] for v in old))
-        yield sub, old, None if odd else tuple(side[v] for v in old)
+    for old, bits, nbrs in _traverse(g):
+        yield _subgraph(g, old, nbrs), old, bits
 
 
 def connected_components(g: TropicalGraph) -> list:
@@ -383,11 +402,15 @@ def _sides(g: TropicalGraph) -> Optional[tuple]:
     """BFS 2-colouring: (side bit per vertex, number of BFS roots), or None
     on an odd cycle.  Each root is a component's smallest vertex and gets
     bit 0, so g is connected iff there is at most one root."""
-    side, roots = [], 0
-    for _, side, odd in _traverse(g):
-        if odd:
+    side, roots = [0] * g.n, 0
+    for vertices, bits, _ in _traverse(g):
+        if bits is None:
             return None
+        if len(vertices) == g.n:
+            return bits, 1
         roots += 1
+        for v, b in zip(vertices, bits):
+            side[v] = b
     return side, roots
 
 

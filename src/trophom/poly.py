@@ -12,7 +12,10 @@ The dispatcher composes them (component split, bipartite reject, bounded
 core reduction, colour split, then a strategy) and falls back to the exact
 solver only when nothing applies; its status always equals ground truth.
 Core reduction skips a target component whose vertices are all forcing,
-which is its own core (see _plan_target).
+which is its own core (see _plan_target).  The source is split without
+building graphs: a lone vertex or edge is answered by its colours from
+the plan's memo, and a component graph is built only where a plan must
+solve it (see dispatch_solve).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .cores import core
 from .graphs import (InputError, PreconditionError, TropicalGraph,
-                     _components, _kept, _Record, connected_components,
-                     split_colours)
+                     _kept, _Record, _subgraph, _traverse,
+                     connected_components, split_colours)
 from .solver import SolveOutcome, solve_list_hom, solve_trop_hom
 
 
@@ -792,35 +795,15 @@ def _plan_target(tc: TropicalGraph, tmap: tuple) -> _TargetPlan:
     return _TargetPlan(tuple(steps), solve, to_original, split)
 
 
-def _solve_component(sc: TropicalGraph, bits: Optional[tuple],
-                     plan: _TargetPlan, notes: list,
-                     label: str) -> SolveOutcome:
-    """The plan's answer for one source component, whose side bits are
-    bits (None on an odd cycle); nodes and passes add up over the
-    colour-split variants it tries.
-
-    A connected component of at most two vertices is a vertex or an edge,
-    so its colours determine it, and the plan keeps its answer; being
-    bipartite, it never writes a note.
-    """
-    if sc.n > 2:
-        return _settle(sc, bits, plan, notes, label)
-    out = plan.answers.get(sc.colours)
-    if out is None:
-        if len(plan.answers) >= _ANSWERS_BOUND:
-            plan.answers.clear()
-        out = plan.answers[sc.colours] = _settle(sc, bits, plan, notes,
-                                                 label)
-    return out
-
-
 def _settle(sc: TropicalGraph, bits: Optional[tuple], plan: _TargetPlan,
-            notes: list, label: str) -> SolveOutcome:
-    """_solve_component without the memo."""
+            notes: list, si: int) -> SolveOutcome:
+    """The plan's answer for source component si, the graph sc, whose side
+    bits are bits (None on an odd cycle); nodes and passes add up over the
+    colour-split variants it tries."""
     if not plan.split:
         return plan.solve(sc)
     if bits is None:
-        notes.append(f"{label}: odd cycle against a bipartite target")
+        notes.append(f"source[{si}]: odd cycle against a bipartite target")
         return SolveOutcome(False, None)
     # The two side-bit colourings of split_instance, the second built only
     # when the first has no answer.
@@ -879,19 +862,46 @@ def dispatch_solve(source: TropicalGraph,
     route) is kept in a bounded cache keyed by the target's value, so an
     equal target built again reuses it.  The answer and the report do not
     depend on whether the plan was cached.
+
+    The source is split in one pass (graphs._traverse) and settled one
+    component at a time, up to the first component that no plan solves.
+    A lone vertex or edge is answered by its colours from each plan's
+    memo, and a graph is built for it only when a plan misses; a larger
+    component's graph is built when the loop reaches it.
     """
     plans, route, target_notes = _plan_dispatch(target)
     notes = list(target_notes)
     witness: Optional[dict] = {}
     nodes = passes = 0
-    for si, (sc, smap, bits) in enumerate(_components(source)):
+    colours = source.colours
+    for si, (smap, bits, nbrs) in enumerate(_traverse(source)):
+        # A component of at most two vertices is a vertex or an edge, so
+        # its colours determine it: each plan keeps its answer under them.
+        # Being bipartite, it never writes a note.  A larger component's
+        # key is None, which no plan keeps, so every plan settles it.
+        if len(smap) > 2:
+            key = None
+        elif len(smap) == 1:
+            key = (colours[smap[0]],)
+        else:
+            key = (colours[smap[0]], colours[smap[1]])
+        sc = None  # the component graph, built at the first miss
         for plan in plans:
-            out = _solve_component(sc, bits, plan, notes, f"source[{si}]")
+            out = plan.answers.get(key)
+            if out is None:
+                if sc is None:
+                    sc = _subgraph(source, smap, nbrs)
+                out = _settle(sc, bits, plan, notes, si)
+                if key is not None:
+                    if len(plan.answers) >= _ANSWERS_BOUND:
+                        plan.answers.clear()
+                    plan.answers[key] = out
             nodes += out.nodes
             passes += out.passes
             if out.solvable:
-                witness.update((smap[v], plan.to_original[img])
-                               for v, img in out.witness.items())
+                to_original = plan.to_original
+                for v, img in out.witness.items():
+                    witness[smap[v]] = to_original[img]
                 break
         else:
             witness = None

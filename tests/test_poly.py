@@ -16,7 +16,8 @@ from trophom.gadgets import build_c48, build_h9, nae3sat_to_c48, nae_formula
 from trophom import poly
 from trophom.poly import ROUTE_FALLBACK, StrategyReport
 from trophom.solver import SolveOutcome
-from trophom.graphs import _traverse, connected_components
+from trophom.graphs import (TropicalGraph, _traverse,
+                            connected_components)
 from trophom.testing import (random_bipartite, random_forcing_tree,
                              random_source, random_tropical)
 from trophom.verify import trop_hom_brute
@@ -882,6 +883,124 @@ class TestSmallComponentAnswers:
             assert counts[0] == counts[1] == counts[2] >= 1
         # the two-component target solves once against each plan
         assert counts[0] == 2
+
+    @staticmethod
+    def solvable_parts(target):
+        """A vertex of each target colour and an edge for each target edge,
+        read both ways: lone components that every plan solves."""
+        cs = target.colours
+        out = [path_graph([c]) for c in sorted(set(cs))]
+        out += [path_graph([cs[u], cs[v]]) for u, v in sorted(target.edges)]
+        out += [path_graph([cs[v], cs[u]]) for u, v in sorted(target.edges)]
+        return out
+
+    def test_memo_hits_build_no_graph(self, monkeypatch):
+        # Once a plan holds their answers, a source of lone vertices and
+        # edges is split and answered without building or settling a graph.
+        built, settled = [], []
+        real_init, real_settle = TropicalGraph.__init__, poly._settle
+
+        def counted_init(g, *args):
+            built.append(args)
+            real_init(g, *args)
+
+        def counted_settle(*args):
+            settled.append(args)
+            return real_settle(*args)
+
+        for target, _ in self.TARGETS:
+            parts = self.solvable_parts(target)
+            source = _disjoint(*parts[::-1], *parts)
+            poly._plan_dispatch.cache_clear()
+            want = dispatch_solve(source, target)
+            assert want[0].solvable
+            with monkeypatch.context() as patch:
+                patch.setattr(TropicalGraph, "__init__", counted_init)
+                patch.setattr(poly, "_settle", counted_settle)
+                assert dispatch_solve(source, target) == want
+            assert built == [] and settled == []
+
+    def test_cold_plan_settles_each_colour_tuple_once(self, monkeypatch):
+        settled = []
+        real_settle = poly._settle
+
+        def counted_settle(sc, *args):
+            settled.append(sc.colours)
+            return real_settle(sc, *args)
+
+        monkeypatch.setattr(poly, "_settle", counted_settle)
+        for target, _ in self.TARGETS:
+            parts = self.solvable_parts(target)
+            source = _disjoint(*parts, *parts[::-1], *parts)
+            poly._plan_dispatch.cache_clear()
+            settled.clear()
+            assert dispatch_solve(source, target)[0].solvable
+            assert settled == list(dict.fromkeys(p.colours for p in parts))
+
+    @staticmethod
+    def random_split_source(rng, target):
+        """The disjoint union of lone vertices, lone edges, odd cycles and
+        random sources, its vertices relabelled at random so that the
+        components come in any order of their smallest vertex."""
+        cs = target.colours
+        edges = sorted(target.edges)
+
+        def colour():
+            return "missing" if rng.random() < 0.03 else rng.choice(cs)
+
+        parts = []
+        for _ in range(rng.randint(2, 8)):
+            kind = rng.random()
+            if kind < 0.3:
+                parts.append(path_graph([colour()]))
+            elif kind < 0.6:
+                u, v = rng.choice(edges)
+                pair = [cs[u], cs[v]] if rng.random() < 0.7 else \
+                    [colour(), colour()]
+                parts.append(path_graph(pair[::rng.choice((1, -1))]))
+            elif kind < 0.7:
+                parts.append(cycle_graph(
+                    [colour() for _ in range(rng.choice((3, 5)))]))
+            else:
+                parts.append(random_source(rng, target, 7))
+        union = _disjoint(*parts)
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        colours = [None] * union.n
+        for v, c in enumerate(union.colours):
+            colours[perm[v]] = c
+        return tgraph(union.n, [(perm[u], perm[v]) for u, v in union.edges],
+                      colours)
+
+    def test_random_split_sources_equal_composed(self):
+        rng = random.Random(2222)
+        seen = set()
+        for target, _ in self.TARGETS:
+            for _ in range(15):
+                source = self.random_split_source(rng, target)
+                want = _composed(source, target)
+                poly._plan_dispatch.cache_clear()
+                for _ in range(2):  # a cold plan, then a warm one
+                    assert dispatch_solve(source, target) == want
+                out, report = want
+                comps = connected_components(source)
+                verdicts = [dispatch_solve(sc, target)[0].solvable
+                            for sc, _ in comps]
+                if not out.solvable:
+                    seen.add("stops early"
+                             if verdicts.index(False) < len(comps) - 1
+                             else "last refuted")
+                else:
+                    seen.add("solved")
+                if any(n.startswith("source[") and not
+                       n.startswith("source[0]") for n in report.notes):
+                    seen.add("later odd cycle noted")
+                if any(len(a) == 1 and len(b) > 2
+                       for (_, a), (_, b) in combinations(comps, 2)):
+                    seen.add("lone vertex before a larger component")
+        assert seen == {"solved", "stops early", "last refuted",
+                        "later odd cycle noted",
+                        "lone vertex before a larger component"}
 
 
 class TestGadgetDispatchPin:

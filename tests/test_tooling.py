@@ -19,6 +19,12 @@ SRC = Path(trophom.__file__).resolve().parent.parent
 
 
 def _load(name: str):
+    # Resolve every public name before a tracer can be installed: the lazy
+    # package keeps the first value read of a name in its globals, and a
+    # first read under a tracer would keep that tracer's wrapper there
+    # after uninstall, where later tracers no longer find the original.
+    for public in trophom.__all__:
+        getattr(trophom, public)
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
