@@ -14,8 +14,12 @@ solver only when nothing applies; its status always equals ground truth.
 Core reduction skips a target component whose vertices are all forcing,
 which is its own core (see _plan_target).  The source is split without
 building graphs: a lone vertex or edge is answered by its colours from
-the plan's memo, and a component graph is built only where a plan must
-solve it (see dispatch_solve).
+the plan's memo, a plan refuses a component (or one side-bit colouring
+of it) with a colour its strategy target lacks, and a component graph is
+built only where a plan must solve it (see dispatch_solve).  The
+colour-class 2-SAT route keeps the clauses of each pair of classes on
+the target, and the feature route keeps what the elimination reads of
+the target, so a solve builds only what depends on its source.
 """
 
 from __future__ import annotations
@@ -156,60 +160,61 @@ def two_sat(n_vars: int, clauses) -> TwoSatFormula:
 
 
 def solve_2sat(f: TwoSatFormula) -> Optional[list]:
-    """Satisfying assignment or None, via implication-graph SCCs (Tarjan)."""
+    """Satisfying assignment or None, via the strongly connected
+    components of the implication graph (Aspvall, Plass & Tarjan 1979).
+
+    Tarjan's algorithm runs iteratively, with one successor iterator per
+    frame; a vertex is on the stack while it is indexed and has no
+    component yet.  Roots are visited in vertex order and successors in
+    clause order, so the components, and with them the assignment, are
+    numbered the same on every run.
+    """
     n = 2 * f.n_vars
     # literal (v, pol) -> node 2v + (0 if pol else 1); node^1 is the negation
     succ = [[] for _ in range(n)]
     for (a, pa), (b, pb) in f.clauses:
-        la = 2 * a + (0 if pa else 1)
-        lb = 2 * b + (0 if pb else 1)
+        la = 2 * a + (not pa)
+        lb = 2 * b + (not pb)
         succ[la ^ 1].append(lb)
         succ[lb ^ 1].append(la)
 
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n
-    on_stack = [False] * n
     stack: list = []
-    counter = 0
-    n_comps = 0
-
+    counter = n_comps = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    frames.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+                if frames:
+                    u = frames[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
 
     assignment = []
     for v in range(f.n_vars):
@@ -259,18 +264,24 @@ def solve_via_pairs(source: TropicalGraph, target: TropicalGraph,
         if not 0 <= i < len(sets):
             raise InputError(f"pair set index {i} out of range")
         idx_of.append(i)
-    return _solve_pairs(source, target, sets, idx_of)
+    return _solve_pairs(source, target, sets, idx_of, {})
 
 
 def _solve_pairs(source: TropicalGraph, target: TropicalGraph, sets: list,
-                 idx_of: list) -> SolveOutcome:
+                 idx_of: list, table: dict) -> SolveOutcome:
     """solve_via_pairs on checked pair sets, idx_of[v] being the set of
-    source vertex v."""
+    source vertex v.
+
+    table maps a pair (i, j) of set indices to the clauses that an edge
+    from set i to set j contributes (see _forbidden), and is filled here
+    on first use: the colour-class route keeps one per target, beside its
+    pair sets, and a caller's own sets get a fresh one.  Clauses come in
+    vertex order, then in edge order, as they always did."""
     clauses = []
+    t_colours, s_colours = target.colours, source.colours
     for v in range(source.n):
         members = sets[idx_of[v]]
-        allowed = [m for m in members
-                   if target.colours[m] == source.colours[v]]
+        allowed = [m for m in members if t_colours[m] == s_colours[v]]
         if not allowed:
             return SolveOutcome(False, None)
         if len(members) == 1 or allowed == [members[0]]:
@@ -278,22 +289,16 @@ def _solve_pairs(source: TropicalGraph, target: TropicalGraph, sets: list,
         elif allowed == [members[1]]:
             clauses.append(((v, False), (v, False)))
 
-    all_combos = ((True, True), (True, False), (False, True), (False, False))
     for x, y in source.edges:
         i, j = idx_of[x], idx_of[y]
-        if i == j:
+        try:
+            forbidden = table[i, j]
+        except KeyError:
+            forbidden = table[i, j] = _forbidden(target, sets[i], sets[j])
+        if forbidden is None:
             return SolveOutcome(False, None)
-        si, sj = sets[i], sets[j]
-        allowed = set()
-        for u in si:
-            for w in sj:
-                if target.has_edge(u, w):
-                    allowed.add((u == si[0], w == sj[0]))
-        if not allowed:
-            return SolveOutcome(False, None)
-        for bx, by in all_combos:
-            if (bx, by) not in allowed:
-                clauses.append(((x, not bx), (y, not by)))
+        for px, py in forbidden:
+            clauses.append(((x, px), (y, py)))
 
     result = solve_2sat(TwoSatFormula(source.n, tuple(clauses)))
     if result is None:
@@ -304,6 +309,25 @@ def _solve_pairs(source: TropicalGraph, target: TropicalGraph, sets: list,
         witness[v] = members[0] if (result[v] or len(members) == 1) \
             else members[1]
     return SolveOutcome(True, witness)
+
+
+def _forbidden(target: TropicalGraph, si: tuple, sj: tuple) -> Optional[tuple]:
+    """The clauses of an edge between a vertex committed to pair set si
+    and one committed to sj, as literal polarities (px, py): one for each
+    truth combination (first member means TRUE) that no target edge
+    joins, in the order TT, TF, FT, FF.  None when no target edge joins
+    the two sets at all (so also when si is sj, an independent set)."""
+    allowed = set()
+    for u in si:
+        for w in sj:
+            if target.has_edge(u, w):
+                allowed.add((u == si[0], w == sj[0]))
+    if not allowed:
+        return None
+    return tuple((not bx, not by)
+                 for bx, by in ((True, True), (True, False), (False, True),
+                                (False, False))
+                 if (bx, by) not in allowed)
 
 
 def colour_class_pairs(target: TropicalGraph) -> tuple:
@@ -329,22 +353,24 @@ def colour_class_pairs(target: TropicalGraph) -> tuple:
 
 def _pairs_of(target: TropicalGraph) -> tuple:
     """colour_class_pairs(target), checked once per target object and kept
-    on it, so a planned target's solves reuse the sets its route check
-    built."""
-    return _kept(target, "_pairs", None, lambda: colour_class_pairs(target))
+    on it with an empty _solve_pairs table, so a planned target's solves
+    reuse the sets its route check built and the clauses of each pair of
+    colour classes."""
+    return _kept(target, "_pairs", None,
+                 lambda: (*colour_class_pairs(target), {}))
 
 
 def solve_by_colour_pairs(source: TropicalGraph,
                           target: TropicalGraph) -> SolveOutcome:
     """2-SAT route for targets where each colour is used at most twice."""
-    pair_sets, which = _pairs_of(target)
+    pair_sets, which, table = _pairs_of(target)
     idx_of = []
     for c in source.colours:
         i = which.get(c)
         if i is None:
             return SolveOutcome(False, None)
         idx_of.append(i)
-    return _solve_pairs(source, target, pair_sets, idx_of)
+    return _solve_pairs(source, target, pair_sets, idx_of, table)
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +546,26 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
     Returns the surviving instance over the pruned target, or None when a
     list empties along the way, which proves the instance unsolvable.
     """
-    # The pruned target of the last set reduced against this target is
-    # kept on it, like its forcing tables: the dispatcher reduces every
-    # source component and split variant with the same planned set, and
-    # they all share one pruned graph and so one support memo.
-    new_target, pos, pendants, t_back = _kept(
+    # What the elimination reads of the target is kept on it, like its
+    # forcing tables: the dispatcher reduces every source component and
+    # split variant with the same planned set, and they all share one
+    # pruned graph and so one support memo.
+    (new_target, t_back, images, class_masks, nbr_masks,
+     type1, type2, type3, type4) = _kept(
         target, "_pruned", s, lambda: _pruned_target(target, s))
-    classes = target.colour_classes()
-
-    alive = [True] * source.n
-    adj = [set(source.adjacency[v]) for v in range(source.n)]
-    lists = [set(classes.get(source.colours[v], ()))
-             for v in range(source.n)]
+    n, colours = source.n, source.colours
+    # lists are masks over the target's vertices
+    lists = [class_masks.get(c, 0) for c in colours]
+    if not all(lists):
+        return None
+    alive = [True] * n
+    adj = [set() for _ in range(n)]
+    for x, y in source.edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    of_colour: dict = {}  # source colour -> its vertices, ascending
+    for v, c in enumerate(colours):
+        of_colour.setdefault(c, []).append(v)
     pinned: dict = {}
 
     def drop_vertex(v: int):
@@ -540,141 +574,151 @@ def reduce_by_features(source: TropicalGraph, target: TropicalGraph,
             adj[w].discard(v)
         adj[v].clear()
 
-    def shrink(w: int, allowed) -> bool:
-        lists[w] &= allowed
-        return bool(lists[w])
-
     def pin(v: int, u: int) -> bool:
         """Map v onto u: its neighbours must land beside u, then v goes."""
+        beside = nbr_masks[u]
         for w in adj[v]:
-            if not shrink(w, target.adjacency[u]):
+            lists[w] &= beside
+            if not lists[w]:
                 return False
         pinned[v] = u
         drop_vertex(v)
         return True
 
-    for v in range(source.n):
-        if not lists[v]:
-            return None
-
     # type 1: the single vertex of its colour
-    for u in sorted(s.type1):
-        su = target.colours[u]
-        for v in range(source.n):
-            if alive[v] and source.colours[v] == su and not pin(v, u):
+    for u, cu in type1:
+        for v in of_colour.get(cu, ()):
+            if alive[v] and not pin(v, u):
                 return None
 
     # type 2: the single edge with its colour pair
-    for a, b in sorted(s.type2):
-        ca, cb = target.colours[a], target.colours[b]
-        for x, y in sorted(source.edges):
+    edges = sorted(source.edges) if type2 else ()
+    for a, b, ca, cb in type2:
+        for x, y in edges:
             if not (alive[x] and alive[y]) or y not in adj[x]:
                 continue
-            cx, cy = source.colours[x], source.colours[y]
-            if (cx, cy) == (ca, cb):
-                px, py = a, b
-            elif (cx, cy) == (cb, ca):
+            cx, cy = colours[x], colours[y]
+            if (cx, cy) == (cb, ca):
                 x, y = y, x
-                px, py = a, b
-            else:
+            elif (cx, cy) != (ca, cb):
                 continue
-            if not shrink(x, {px}) or not shrink(y, {py}):
+            lists[x] &= 1 << a
+            lists[y] &= 1 << b
+            if not (lists[x] and lists[y]):
                 return None
             adj[x].discard(y)
             adj[y].discard(x)
 
     # type 3: monochromatic neighbourhood, unreachable elsewhere
-    for u in sorted(s.type3):
-        s_colour = target.colours[next(iter(target.adjacency[u]))]
-        cu = target.colours[u]
-        for v in range(source.n):
-            if not alive[v] or source.colours[v] != cu or u not in lists[v]:
+    for u, cu, s_colour in type3:
+        for v in of_colour.get(cu, ()):
+            if not alive[v] or not lists[v] >> u & 1:
                 continue
-            if any(source.colours[w] != s_colour for w in adj[v]):
+            if any(colours[w] != s_colour for w in adj[v]):
                 continue
             if not pin(v, u):
                 return None
 
     # type 4: forced landings, then pendant surgery on the target
-    for u in sorted(s.type4):
-        by_colour = {}
-        for w in sorted(target.adjacency[u]):
-            by_colour[target.colours[w]] = w
-        cu = target.colours[u]
-        pattern = []
-        for x in range(source.n):
-            if not alive[x] or source.colours[x] != cu:
-                continue
-            hit = {source.colours[w] for w in adj[x]
-                   if source.colours[w] in by_colour}
-            if len(hit) >= 2:
-                pattern.append(x)
+    for u, cu, by_colour in type4:
+        pattern = [x for x in of_colour.get(cu, ())
+                   if alive[x] and len(by_colour.keys()
+                                       & {colours[w] for w in adj[x]}) >= 2]
         pat = set(pattern)
         for x in pattern:
-            if u not in lists[x]:
+            if not lists[x] >> u & 1:
                 return None
-            if any(w in pat for w in adj[x]):
+            if not pat.isdisjoint(adj[x]):
                 return None
         for x in pattern:
             boundary = sorted(adj[x])
             pinned[x] = u
             drop_vertex(x)
             for y in boundary:
-                req = by_colour.get(source.colours[y])
-                if req is None or not shrink(y, {req}):
+                req = by_colour.get(colours[y])
+                if req is None:
+                    return None
+                lists[y] &= 1 << req
+                if not lists[y]:
                     return None
 
     # the surviving source, its lists projected onto the pruned target
-    kept = [v for v in range(source.n) if alive[v]]
+    kept = [v for v in range(n) if alive[v]]
     s_pos = {v: i for i, v in enumerate(kept)}
-    s_edges = frozenset(
-        tuple(sorted((s_pos[x], s_pos[y])))
-        for x in kept for y in adj[x] if x < y)
+    # kept ascends, so x < y keeps each pair normalized
     new_source = TropicalGraph(
-        len(kept), s_edges, tuple(source.colours[v] for v in kept))
+        len(kept),
+        frozenset([(s_pos[x], s_pos[y]) for x in kept for y in adj[x]
+                   if x < y]),
+        tuple([colours[v] for v in kept]))
 
     new_lists = {}
-    for v in kept:
-        dom = {pos[h] for h in lists[v] if h in pos}
-        for u, pend in pendants.items():
-            if u in lists[v]:
-                dom.update(pend)
+    projected: dict = {}  # list mask -> its projection
+    for i, v in enumerate(kept):
+        mask = lists[v]
+        dom = projected.get(mask)
+        if dom is None:
+            members: set = set()
+            rest = mask
+            while rest:
+                h = (rest & -rest).bit_length() - 1
+                members.update(images[h])
+                rest &= rest - 1
+            dom = projected[mask] = frozenset(members)
         if not dom:
             return None
-        new_lists[s_pos[v]] = frozenset(dom)
+        new_lists[i] = dom
 
     return ReducedInstance(new_source, new_lists, new_target,
                            tuple(kept), t_back, pinned)
 
 
 def _pruned_target(target: TropicalGraph, s: FeatureSet) -> tuple:
-    """Validate s against target and build what its elimination leaves of
-    the target: (pruned target, original survivor -> its index, type-4
-    vertex -> indices of its pendants, pruned index -> original index).
-    Type-1, -3 and -4 vertices go, type-2 edges are cut, and each type-4
-    vertex becomes one pendant vertex per neighbour."""
+    """Validate s against target and prepare its elimination.
+
+    Returns (pruned target, pruned index -> original index, original
+    vertex -> its pruned indices, colour -> mask of its class, vertex ->
+    mask of its neighbours, then the four feature kinds in elimination
+    order: type-1 (u, colour), type-2 (a, b, colour of a, colour of b),
+    type-3 (u, colour, neighbour colour) and type-4 (u, colour, neighbour
+    colour -> that neighbour)).  Type-1, -3 and -4 vertices go, type-2
+    edges are cut, and each type-4 vertex becomes one pendant vertex per
+    neighbour, which are its pruned indices."""
     _validate_features(target, s)
+    colours, adjacency = target.colours, target.adjacency
     gone = set(s.type1) | set(s.type3) | set(s.type4)
     survivors = [h for h in range(target.n) if h not in gone]
     pos = {h: i for i, h in enumerate(survivors)}
+    images = [(pos[h],) if h in pos else () for h in range(target.n)]
     cut = {tuple(sorted(e)) for e in s.type2}
     t_edges = set()
     for a, b in target.edges:
         if a in pos and b in pos and (a, b) not in cut:
             t_edges.add((pos[a], pos[b]))
-    t_colours = [target.colours[h] for h in survivors]
+    t_colours = [colours[h] for h in survivors]
     t_back = list(survivors)
-    pendants = {}
+    type4 = []
     for u in sorted(s.type4):
-        for v in sorted(target.adjacency[u]):
+        pendants = []
+        for v in sorted(adjacency[u]):
             idx = len(t_colours)
-            t_colours.append(target.colours[u])
+            t_colours.append(colours[u])
             t_back.append(u)
             t_edges.add(tuple(sorted((idx, pos[v]))))
-            pendants.setdefault(u, []).append(idx)
+            pendants.append(idx)
+        images[u] = tuple(pendants)
+        type4.append((u, colours[u], {colours[w]: w for w in adjacency[u]}))
     pruned = TropicalGraph(len(t_colours), frozenset(t_edges),
                            tuple(t_colours))
-    return pruned, pos, pendants, tuple(t_back)
+    class_masks = {c: sum(1 << h for h in vs)
+                   for c, vs in target.colour_classes().items()}
+    nbr_masks = [sum(1 << w for w in nbrs) for nbrs in adjacency]
+    type1 = [(u, colours[u]) for u in sorted(s.type1)]
+    type2 = [(a, b, colours[a], colours[b]) for a, b in sorted(s.type2)]
+    type3 = [(u, colours[u], colours[next(iter(adjacency[u]))])
+             for u in sorted(s.type3)]
+    return (pruned, tuple(t_back), tuple(images), class_masks, nbr_masks,
+            type1, type2, type3, type4)
 
 
 # ---------------------------------------------------------------------------
@@ -708,15 +752,19 @@ class StrategyReport(_Record):
 
 
 class _TargetPlan:
-    __slots__ = ("steps", "solve", "to_original", "split", "answers")
+    __slots__ = ("steps", "solve", "to_original", "split", "palette",
+                 "answers")
 
     def __init__(self, steps: tuple, solve: Callable, to_original: tuple,
-                 split: bool):
+                 split: bool, palette: frozenset = frozenset()):
         self.steps = steps
         self.solve = solve              # source component -> SolveOutcome
         self.to_original = to_original  # strategy-target index -> index in
                                         # the whole dispatched target
         self.split = split
+        # the strategy target's colours, (c, side bit) pairs when split: a
+        # source colouring with a colour outside it has no homomorphism
+        self.palette = palette
         # colours of a source component of at most two vertices -> answer
         self.answers = {}
 
@@ -792,30 +840,31 @@ def _plan_target(tc: TropicalGraph, tmap: tuple) -> _TargetPlan:
             steps.append(ROUTE_SPLIT)
     route, solve = _strategy(work)
     steps.append(route)
-    return _TargetPlan(tuple(steps), solve, to_original, split)
+    return _TargetPlan(tuple(steps), solve, to_original, split,
+                       frozenset(work.colours))
 
 
-def _settle(sc: TropicalGraph, bits: Optional[tuple], plan: _TargetPlan,
-            notes: list, si: int) -> SolveOutcome:
-    """The plan's answer for source component si, the graph sc, whose side
-    bits are bits (None on an odd cycle); nodes and passes add up over the
-    colour-split variants it tries."""
+def _settle(sc: TropicalGraph, colourings: list,
+            plan: _TargetPlan) -> SolveOutcome:
+    """The plan's answer for the source component graph sc.  An unsplit
+    plan solves sc itself.  A split plan solves sc under each side-bit
+    colouring in colourings in turn, up to the first with an answer, and
+    nodes and passes add up over the tries.  The caller passes only the
+    colourings whose colours all lie in the plan's palette."""
     if not plan.split:
         return plan.solve(sc)
-    if bits is None:
-        notes.append(f"source[{si}]: odd cycle against a bipartite target")
-        return SolveOutcome(False, None)
-    # The two side-bit colourings of split_instance, the second built only
-    # when the first has no answer.
     nodes = passes = 0
-    for flip in (0, 1):
-        out = plan.solve(sc.recoloured(
-            tuple((c, b ^ flip) for c, b in zip(sc.colours, bits))))
+    for recolouring in colourings:
+        out = plan.solve(sc.recoloured(recolouring))
         nodes += out.nodes
         passes += out.passes
         if out.solvable:
             return SolveOutcome(True, out.witness, nodes, passes)
     return SolveOutcome(False, None, nodes, passes)
+
+
+# The answer of a plan that has no colouring of a component to solve.
+_REFUSED = SolveOutcome(False, None)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
@@ -855,8 +904,9 @@ def dispatch_solve(source: TropicalGraph,
     steps chosen for the target; ExactFallback appears only when no
     polynomial strategy applied.  The status always equals the exact
     solver's answer.  The outcome's nodes and passes are the sums over
-    every component solve the dispatch ran (the exact solver's search
-    nodes and arc revisions, the all-forcing route's anchor trials).
+    the component solves that ran (the exact solver's search nodes and
+    arc revisions, the all-forcing route's anchor trials); a refused
+    colouring runs no solve and adds nothing.
 
     Each target is planned once: the plan (components, core, colour split,
     route) is kept in a bounded cache keyed by the target's value, so an
@@ -868,6 +918,13 @@ def dispatch_solve(source: TropicalGraph,
     A lone vertex or edge is answered by its colours from each plan's
     memo, and a graph is built for it only when a plan misses; a larger
     component's graph is built when the loop reaches it.
+
+    A homomorphism preserves colours, so a plan refuses, before any graph
+    is built, a component with a colour outside its palette: an unsplit
+    plan the component itself, a split plan each side-bit colouring with
+    a (colour, side) pair its strategy target lacks.  Such a colouring has
+    no answer, so the statuses, witnesses and notes are those of solving
+    it; only the nodes of the solve it spares are missing.
     """
     plans, route, target_notes = _plan_dispatch(target)
     notes = list(target_notes)
@@ -885,13 +942,33 @@ def dispatch_solve(source: TropicalGraph,
             key = (colours[smap[0]],)
         else:
             key = (colours[smap[0]], colours[smap[1]])
-        sc = None  # the component graph, built at the first miss
+        # The component graph, its colours and its two side-bit
+        # colourings, each made at the first plan that reads it.  Only the
+        # colourings that fit the plan's palette are solved.
+        sc = own = sides = None
         for plan in plans:
             out = plan.answers.get(key)
             if out is None:
-                if sc is None:
-                    sc = _subgraph(source, smap, nbrs)
-                out = _settle(sc, bits, plan, notes, si)
+                if own is None:
+                    own = tuple([colours[v] for v in smap])
+                palette = plan.palette
+                if not plan.split:
+                    fits = [own] if palette.issuperset(own) else []
+                elif bits is None:
+                    notes.append(
+                        f"source[{si}]: odd cycle against a bipartite target")
+                    fits = []
+                else:
+                    if sides is None:
+                        sides = (tuple(zip(own, bits)),
+                                 tuple(zip(own, [b ^ 1 for b in bits])))
+                    fits = [c for c in sides if palette.issuperset(c)]
+                if fits:
+                    if sc is None:
+                        sc = _subgraph(source, smap, nbrs)
+                    out = _settle(sc, fits, plan)
+                else:
+                    out = _REFUSED
                 if key is not None:
                     if len(plan.answers) >= _ANSWERS_BOUND:
                         plan.answers.clear()

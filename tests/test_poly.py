@@ -38,6 +38,70 @@ def brute_2sat(f):
     return False
 
 
+def reference_2sat(f):
+    """solve_2sat as it was when its assignments were pinned: Tarjan with
+    an explicit (vertex, next successor position) work stack."""
+    n = 2 * f.n_vars
+    succ = [[] for _ in range(n)]
+    for (a, pa), (b, pb) in f.clauses:
+        la = 2 * a + (0 if pa else 1)
+        lb = 2 * b + (0 if pb else 1)
+        succ[la ^ 1].append(lb)
+        succ[lb ^ 1].append(la)
+
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    on_stack = [False] * n
+    stack: list = []
+    counter = 0
+    n_comps = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(succ[v]):
+                w = succ[v][pi]
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = n_comps
+                    if w == v:
+                        break
+                n_comps += 1
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+
+    assignment = []
+    for v in range(f.n_vars):
+        if comp[2 * v] == comp[2 * v + 1]:
+            return None
+        assignment.append(comp[2 * v] < comp[2 * v + 1])
+    return assignment
+
+
 def all_clauses(n_vars):
     lits = [(v, p) for v in range(n_vars) for p in (True, False)]
     seen = set()
@@ -180,6 +244,29 @@ class TestTwoSat:
                     assert (got[a] == pa) or (got[b] == pb)
 
 
+    def test_assignments_equal_the_reference_on_small_formulas(self):
+        # every formula of at most four clauses over three variables
+        clauses = all_clauses(3)
+        built = 0
+        for r in range(5):
+            for chosen in combinations(clauses, r):
+                f = two_sat(3, chosen)
+                assert solve_2sat(f) == reference_2sat(f)
+                built += 1
+        assert built == 7547
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.tuples(st.integers(0, n - 1), st.booleans()),
+                           st.tuples(st.integers(0, n - 1), st.booleans())),
+                 max_size=24))))
+    def test_assignments_equal_the_reference(self, drawn):
+        n, clauses = drawn
+        f = two_sat(n, clauses)
+        assert solve_2sat(f) == reference_2sat(f)
+
+
 class TestSolveViaPairs:
     def test_single_vertex_two_candidates(self):
         target = tgraph(2, [], ["c", "c"])
@@ -233,6 +320,35 @@ class TestSolveViaPairs:
         for _ in range(2):
             with pytest.raises(PreconditionError, match="used 3 times"):
                 solve_by_colour_pairs(plain(1, [], "a"), target)
+
+    def test_caller_pair_sets_stay_out_of_the_kept_table(self):
+        # The colour-class route keeps its clauses per pair of class
+        # indices on the target; sets a caller supplies may index other
+        # sets, or the same sets in another order, so their solves must
+        # neither read nor fill a kept table.
+        edges = [(0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]
+        target = tgraph(5, edges, "ccaba")
+        # the class sets in their own order and swapped, and a regrouping
+        choices = [[(0, 1), (2, 4), (3,)], [(1, 0), (4, 2), (3,)],
+                   [(0, 4), (1, 3), (2,)]]
+        rng = random.Random(4545)
+        for _ in range(200):
+            src = random_source(rng, target, 6)
+            fresh = tgraph(5, edges, "ccaba")
+            assert solve_by_colour_pairs(src, target) == \
+                solve_by_colour_pairs(src, fresh)
+            sets = rng.choice(choices)
+            # each vertex on a set with a member of its colour, if any, so
+            # that the solve reaches the edge clauses
+            assign = {}
+            for v, c in enumerate(src.colours):
+                fit = [i for i, members in enumerate(sets)
+                       if any(target.colours[m] == c for m in members)]
+                assign[v] = rng.choice(fit or range(len(sets)))
+            fresh = tgraph(5, edges, "ccaba")
+            assert solve_via_pairs(src, target, sets, assign) == \
+                solve_via_pairs(src, fresh, sets, assign)
+        assert target.__dict__["_pairs"][1][2]  # the kept table was used
 
     def test_colour_pair_rule_matches_oracle(self):
         rng = random.Random(321)
@@ -865,7 +981,7 @@ class TestSmallComponentAnswers:
         for name in ("solve_all_forcing", "solve_by_colour_pairs",
                      "_solve_by_features", "solve_trop_hom"):
             def counted(*args, _real=getattr(poly, name)):
-                calls.append(args[0])
+                calls.append(args[1])
                 return _real(*args)
             monkeypatch.setattr(poly, name, counted)
         c48 = build_c48().graph
@@ -881,8 +997,9 @@ class TestSmallComponentAnswers:
                 assert out.solvable
                 counts.append(len(calls))
             assert counts[0] == counts[1] == counts[2] >= 1
-        # the two-component target solves once against each plan
-        assert counts[0] == 2
+        # The two-component target: the triangle's plan lacks colour "a"
+        # and calls no strategy, and the core's plan solves once.
+        assert calls == [core8]
 
     @staticmethod
     def solvable_parts(target):
@@ -1001,6 +1118,118 @@ class TestSmallComponentAnswers:
         assert seen == {"solved", "stops early", "last refuted",
                         "later odd cycle noted",
                         "lone vertex before a larger component"}
+
+
+class _Everything(frozenset):
+    """A palette that every colouring fits, so that no plan refuses."""
+
+    def issuperset(self, other):
+        return True
+
+
+class TestPaletteRefusal:
+    """A plan solves a source component only under colourings whose
+    colours its strategy target has."""
+
+    TARGETS = [t for t, _ in TestSmallComponentAnswers.TARGETS] + [
+        path_graph(["a", "b", "c", "a"]),
+        tgraph(3, [(0, 1), (1, 2), (0, 2)], "xyx"),
+        _disjoint(cycle_graph(["x", "y", "z"]), TestDispatchStats.CORE8),
+        _disjoint(path_graph(["a", "b"]), cycle_graph(["a", "c", "b"]),
+                  path_graph(["b", "c", "a", "b"])),
+    ]
+
+    @staticmethod
+    def source(rng, target):
+        """A random source over the target's colours, some vertices
+        recoloured with a colour it lacks or one of another side's."""
+        src = random_source(rng, target, 8)
+        palette = sorted(set(target.colours), key=repr) + ["missing"]
+        colours = list(src.colours)
+        for v in range(src.n):
+            if rng.random() < 0.15:
+                colours[v] = rng.choice(palette)
+        return src.recoloured(colours)
+
+    @staticmethod
+    def run(monkeypatch, source, target, opened):
+        """dispatch_solve on a cold plan, with every strategy call logged
+        as (source colours, strategy target colours); with opened, every
+        palette lets every colouring through."""
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("solve_all_forcing", "solve_by_colour_pairs",
+                         "_solve_by_features", "solve_trop_hom"):
+                def logged(*args, _real=getattr(poly, name)):
+                    calls.append((args[0].colours, args[1].colours))
+                    return _real(*args)
+                patch.setattr(poly, name, logged)
+            poly._plan_dispatch.cache_clear()
+            if opened:
+                for plan in poly._plan_dispatch(target)[0]:
+                    plan.palette = _Everything()
+            out = dispatch_solve(source, target)
+        poly._plan_dispatch.cache_clear()
+        return out, calls
+
+    def test_refused_colourings_call_no_strategy(self, monkeypatch):
+        rng = random.Random(2323)
+        refused = {False: 0, True: 0}  # by whether the target is split
+        for target in self.TARGETS:
+            split = any(poly.ROUTE_SPLIT in plan.steps
+                        for plan in poly._plan_dispatch(target)[0])
+            for _ in range(40):
+                src = self.source(rng, target)
+                (out, report), calls = self.run(monkeypatch, src, target,
+                                                False)
+                (o_out, o_report), o_calls = self.run(monkeypatch, src,
+                                                      target, True)
+                if target.n <= 12:  # brute force is too slow on C48
+                    assert out.solvable == trop_hom_brute(src, target)
+                if out.solvable:
+                    assert validate_hom(src, target, out.witness)
+                assert (out.solvable, out.witness, out.passes, report) == \
+                    (o_out.solvable, o_out.witness, o_out.passes, o_report)
+                assert out.nodes <= o_out.nodes
+                # the calls made are the opened run's calls whose colours
+                # all lie in their strategy target
+                assert calls == [(s, t) for s, t in o_calls
+                                 if set(s) <= set(t)]
+                refused[split] += len(o_calls) - len(calls)
+        assert refused[False] >= 20 and refused[True] >= 20
+
+
+class TestDispatchReplay:
+    """A seeded stream against the targets of the dispatch-reuse workload
+    hashes, op by op, to the digest its answers had when it was recorded:
+    status, witness, route and notes (nodes are left out)."""
+
+    FOLD14 = tgraph(14, sorted(TestDispatchStats.CORE8.edges) + [
+        (8, 2), (8, 5), (9, 5), (9, 6), (10, 6), (10, 0), (10, 5), (11, 4),
+        (12, 0), (12, 3), (12, 2), (12, 7), (12, 4), (13, 2)],
+        "bbbaababbbbaba")
+    DIGEST = "b28ec522dac218acf2eed38edaf9ae1f54237766da53c74f39a311d7a02f7d2a"
+
+    def test_seeded_stream_replays_identically(self):
+        targets = [build_h9().graph] + [cycle_graph(c) for c in (
+            ["A0", "B0", "A0", "B1", "A0", "B2"],
+            ["A0", "B0", "A0", "B0", "A1", "B1"],
+            ["A0", "B0", "A0", "B1", "A0", "B0", "A0", "B2"],
+            ["A0", "B0", "A1", "B1", "A2", "B2", "A3", "B3"])] + [
+            tgraph(8, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6),
+                       (5, 7)], "xyzzwyxw"),
+            self.FOLD14]
+        rng = random.Random(23)
+        digest = hashlib.sha256()
+        for _ in range(3000):
+            target = rng.choice(targets)
+            out, report = dispatch_solve(random_source(rng, target, 12),
+                                         target)
+            witness = None if out.witness is None else \
+                sorted(out.witness.items())
+            digest.update(repr((out.solvable, witness, report.route,
+                                report.notes)).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestGadgetDispatchPin:
